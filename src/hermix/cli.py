@@ -12,6 +12,7 @@ Floats are printed with 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Sequence
@@ -326,6 +327,8 @@ def _add_tol_arg(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
 
+# parsing never mutates the parser, so one instance serves every call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hermix",

@@ -74,7 +74,6 @@ def _guard(graph: MixedGraph) -> None:
         )
 
 
-@lru_cache(maxsize=128)
 def _packings(graph: MixedGraph) -> tuple[ElementarySubgraph, ...]:
     """Every packing (including the empty one), in a fixed deterministic order."""
     items: list[tuple[frozenset[int], tuple[int, ...], object]] = []

@@ -36,7 +36,6 @@ __all__ = [
     "ALPHA_OMEGA",
     "ROTATION_TOL",
     "make_alpha",
-    "order_of",
     "rotation_cos",
     "rotation_sin",
     "ArcBalance",
@@ -243,10 +242,6 @@ def make_alpha(spec: str) -> UnitPhase:
             raise ValueError("angle must be finite")
         return UnitPhase.from_angle(theta)
     raise ValueError(f"unrecognized alpha spec {spec!r}")
-
-
-def order_of(alpha: UnitPhase) -> int | float:
-    return alpha.order
 
 
 class ArcBalance(NamedTuple):

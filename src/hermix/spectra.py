@@ -4,12 +4,11 @@ The matrix of a mixed graph puts 1 on digons, the chosen unit phase alpha on
 an arc read tail to head, and its conjugate the other way.  It is Hermitian
 by construction, so the spectrum is real whatever alpha is.
 
-The eigensolve embeds ``H = X + iY`` into the real symmetric block matrix
-``[[X, -Y], [Y, X]]``.  Every eigenvalue of H shows up twice there, so the
-spectrum takes every second value of the sorted doubled list, and complex
-eigenvectors are reassembled as ``x = u + i*w`` from the two halves of the
-embedded vectors (an SVD per eigenvalue cluster picks a complex-independent
-orthonormal set).
+Every eigenvalue computation goes through LAPACK's complex Hermitian solver
+(``np.linalg.eigh`` / ``np.linalg.eigvalsh``) on the n x n matrix itself.
+It returns real eigenvalues and an orthonormal eigenbasis, degenerate
+eigenspaces included, so no post-processing is needed beyond a residual
+check.
 
 Tolerances used across the package are centralized here.
 """
@@ -151,53 +150,20 @@ def build_hermitian(graph: MixedGraph, alpha: UnitPhase) -> HermitianMatrix:
     return HermitianMatrix(graph.n, a)
 
 
-def _embedded(matrix: HermitianMatrix) -> np.ndarray:
-    x = matrix.entries.real
-    y = matrix.entries.imag
-    return np.block([[x, -y], [y, x]])
-
-
-def _embedded_eigenvalues(matrix: HermitianMatrix) -> np.ndarray:
-    """Ascending eigenvalues of H, one per doubled pair of the embedding."""
-    if matrix.n == 0:
-        return np.zeros(0)
-    return np.linalg.eigvalsh(_embedded(matrix))[::2]
-
-
 def eigen_decomposition(matrix: HermitianMatrix) -> tuple[Spectrum, list[EigenPair]]:
-    """Spectrum plus orthonormal eigenpairs via the real symmetric embedding.
+    """Spectrum plus orthonormal eigenpairs, eigenvalues descending.
 
-    The doubled eigenvalues are clustered; inside a cluster of 2m embedded
-    vectors an SVD of the reassembled complex columns yields m orthonormal
-    eigenvectors, each reported with the cluster mean as its eigenvalue.
-    Residuals above ``EIGEN_RESIDUAL_TOL * n`` raise NumericalError rather
-    than returning silently bad pairs.
+    One complex Hermitian ``eigh`` gives both; each eigenvalue is reported
+    with its own column, so a degenerate eigenspace comes back as an
+    orthonormal basis of that space.  Residuals above
+    ``EIGEN_RESIDUAL_TOL * n`` raise NumericalError rather than returning
+    silently bad pairs.
     """
     n = matrix.n
     if n == 0:
         return Spectrum(()), []
-    evals, evecs = np.linalg.eigh(_embedded(matrix))
-    scale = max(1.0, float(np.max(np.abs(evals))))
-    cluster_tol = 1e-10 * scale
-    pairs: list[EigenPair] = []
-    start = 0
-    for i in range(1, 2 * n + 1):
-        if i < 2 * n and evals[i] - evals[i - 1] <= cluster_tol:
-            continue
-        size = i - start
-        if size % 2:
-            raise NumericalError("eigenvalue pairing of the embedded matrix failed")
-        m = size // 2
-        block = evecs[:, start:i]
-        z = block[:n, :] + 1j * block[n:, :]
-        u, sing, _ = np.linalg.svd(z, full_matrices=False)
-        if sing[m - 1] < 1e-6:
-            raise NumericalError("could not extract independent eigenvectors from the embedding")
-        lam = float(np.mean(evals[start:i]))
-        for j in range(m):
-            pairs.append(EigenPair(lam, u[:, j]))
-        start = i
-    pairs.sort(key=lambda p: -p.eigenvalue)
+    evals, evecs = np.linalg.eigh(matrix.entries)
+    pairs = [EigenPair(evals[j], evecs[:, j]) for j in range(n - 1, -1, -1)]
     budget = EIGEN_RESIDUAL_TOL * n
     for p in pairs:
         resid = float(np.max(np.abs(matrix.entries @ p.vector - p.eigenvalue * p.vector)))
@@ -233,7 +199,7 @@ def char_poly(matrix: HermitianMatrix) -> CharPoly:
             f"characteristic polynomial imaginary residue {worst_imag:.3e} exceeds {COEFF_TOL:.3e}"
         )
     real = [c.real for c in coeffs]
-    from_roots = np.poly(_embedded_eigenvalues(matrix))
+    from_roots = np.poly(np.linalg.eigvalsh(a))
     gap = max(abs(real[j] - float(from_roots[j + 1])) for j in range(n))
     if gap > COEFF_TOL:
         raise NumericalError(
@@ -244,9 +210,9 @@ def char_poly(matrix: HermitianMatrix) -> CharPoly:
 
 def spectral_radius(graph: MixedGraph, alpha: UnitPhase) -> float:
     """Largest absolute eigenvalue; 0.0 for the empty graph."""
-    evals = _embedded_eigenvalues(build_hermitian(graph, alpha))
-    if evals.size == 0:
+    if graph.n == 0:
         return 0.0
+    evals = np.linalg.eigvalsh(build_hermitian(graph, alpha).entries)
     return float(np.max(np.abs(evals)))
 
 

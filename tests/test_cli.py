@@ -201,6 +201,12 @@ class TestCospectral:
             "monograph_both",
         }
 
+    def test_alphas_do_not_leak_between_calls(self, capsys, dc3_file):
+        first = run_json(capsys, ["cospectral", "--alpha", "gamma", "--alpha", "omega", dc3_file])
+        second = run_json(capsys, ["cospectral", "--alpha", "i", "--alpha", "1", dc3_file])
+        assert (first["alpha1"], first["alpha2"]) == ("root:1/3", "root:1/6")
+        assert (second["alpha1"], second["alpha2"]) == ("root:1/4", "root:0/1")
+
     def test_requires_two_alphas(self, capsys, dc3_file):
         assert main(["cospectral", "--alpha", "gamma", dc3_file]) == 2
 

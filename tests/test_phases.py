@@ -23,7 +23,6 @@ from hermix import (
     Walk,
     arc_balance,
     make_alpha,
-    order_of,
     rotation_cos,
     rotation_sin,
     walk_value_g,
@@ -95,10 +94,10 @@ class TestMakeAlpha:
 
     def test_gamma_rotation_and_orders(self):
         assert ALPHA_GAMMA.rotation == Fraction(1, 3)
-        assert order_of(ALPHA_GAMMA) == 3
-        assert order_of(ALPHA_OMEGA) == 6
-        assert order_of(ALPHA_I) == 4
-        assert order_of(ALPHA_ONE) == 1
+        assert ALPHA_GAMMA.order == 3
+        assert ALPHA_OMEGA.order == 6
+        assert ALPHA_I.order == 4
+        assert ALPHA_ONE.order == 1
 
     def test_gamma_is_omega_squared(self):
         assert ALPHA_OMEGA.as_phase() ** 2 == ALPHA_GAMMA.as_phase()
@@ -107,12 +106,12 @@ class TestMakeAlpha:
         a = make_alpha("root:2/8")
         assert a.rotation == Fraction(1, 4)
         assert make_alpha("root:-1/4").rotation == Fraction(3, 4)
-        assert order_of(make_alpha("root:1/5")) == 5
+        assert make_alpha("root:1/5").order == 5
 
     def test_angle_spec(self):
         a = make_alpha("angle:1.0")
         assert not a.is_exact
-        assert order_of(a) == math.inf
+        assert a.order == math.inf
         assert cmath.isclose(a.value, cmath.exp(1j))
 
     def test_angle_round_trips_through_str(self):
@@ -129,7 +128,7 @@ class TestMakeAlpha:
     def test_angle_never_promotes_to_exact(self):
         quarter = make_alpha(f"angle:{math.pi / 2}")
         assert not quarter.is_exact
-        assert order_of(quarter) == math.inf
+        assert quarter.order == math.inf
 
 
 class TestWalkValues:

@@ -101,19 +101,31 @@ class TestEigenDecomposition:
                 moment = sum(v * v for v in spec.values)
                 assert math.isclose(moment, 2.0 * len(g.edges), abs_tol=1e-8)
 
-    def test_pairs_verify_and_are_orthonormal(self):
+    def test_pairs_verify_and_are_orthonormal(self, k4x):
         rng = random.Random(41)
-        for _ in range(12):
-            g = random_mixed_graph(rng, rng.randrange(1, 7))
-            for alpha in ALPHAS:
-                matrix = build_hermitian(g, alpha)
-                spec, pairs = eigen_decomposition(matrix)
-                assert len(pairs) == g.n
-                for pair in pairs:
-                    assert verify_eigenpair(g, alpha, pair) <= 1e-8
-                basis = np.column_stack([p.vector for p in pairs])
-                gram = basis.conj().T @ basis
-                assert np.allclose(gram, np.eye(g.n), atol=1e-8)
+        graphs = [random_mixed_graph(rng, rng.randrange(1, 7)) for _ in range(12)]
+        cases = [(g, alpha) for g in graphs for alpha in ALPHAS]
+        # degenerate eigenspaces: all-zero, K5's -1 (x4), and the paired
+        # eigenvalues of a long directed cycle
+        k5 = MixedGraph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)], [])
+        c60 = MixedGraph.from_edges(60, [], [(v, (v + 1) % 60) for v in range(60)])
+        cases += [
+            (MixedGraph.from_edges(4, [], []), ALPHA_I),
+            (k5, ALPHA_ONE),
+            (k4x, ALPHA_I),
+            (c60, ALPHA_GAMMA),
+            (c60, make_alpha("angle:0.7")),
+        ]
+        for g, alpha in cases:
+            matrix = build_hermitian(g, alpha)
+            spec, pairs = eigen_decomposition(matrix)
+            assert len(pairs) == g.n
+            assert [p.eigenvalue for p in pairs] == list(spec.values)
+            for pair in pairs:
+                assert verify_eigenpair(g, alpha, pair) <= 1e-8
+            basis = np.column_stack([p.vector for p in pairs])
+            gram = basis.conj().T @ basis
+            assert np.allclose(gram, np.eye(g.n), atol=1e-8)
 
     def test_t2_known_eigenpair(self, t2):
         # (1, -i)/sqrt(2) belongs to eigenvalue 1
