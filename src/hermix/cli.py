@@ -37,7 +37,7 @@ from .monographs import (
     radius_equality_analysis,
     transfer_eigenvectors,
 )
-from .phases import ALPHA_ONE, UnitPhase, make_alpha
+from .phases import ALPHA_ONE, Phase, make_alpha
 from .spectra import (
     DEFAULT_TOL,
     EigenPair,
@@ -85,10 +85,13 @@ def _vector_json(vec: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in vec]
 
 
-def _spectra_payload(graph: MixedGraph, alpha: UnitPhase) -> dict[str, Any]:
+def _spectra_payload(graph: MixedGraph, alpha: Phase, oracle: bool) -> dict[str, Any]:
     matrix = build_hermitian(graph, alpha)
     spectrum, _ = eigen_decomposition(matrix)
-    poly = char_poly(matrix)
+    if oracle:
+        poly = char_poly_expansion(graph, alpha)
+    else:
+        poly = char_poly(matrix, spectrum)
     return {
         "alpha": str(alpha),
         "eigenvalues": list(spectrum.values),
@@ -99,18 +102,13 @@ def _spectra_payload(graph: MixedGraph, alpha: UnitPhase) -> dict[str, Any]:
 
 def _cmd_spectrum(args: argparse.Namespace) -> None:
     graph = _read_graph(args.graph)
-    _emit(_spectra_payload(graph, make_alpha(args.alpha)))
+    _emit(_spectra_payload(graph, make_alpha(args.alpha), oracle=False))
 
 
 def _cmd_charpoly(args: argparse.Namespace) -> None:
     graph = _read_graph(args.graph)
-    alpha = make_alpha(args.alpha)
-    payload = _spectra_payload(graph, alpha)
-    if args.oracle:
-        payload["char_poly"] = list(char_poly_expansion(graph, alpha).coefficients)
-        payload["method"] = "expansion"
-    else:
-        payload["method"] = "faddeev-leverrier"
+    payload = _spectra_payload(graph, make_alpha(args.alpha), args.oracle)
+    payload["method"] = "expansion" if args.oracle else "faddeev-leverrier"
     _emit(payload)
 
 
@@ -132,7 +130,7 @@ def _cmd_monograph(args: argparse.Namespace) -> None:
     if cert.verdict:
         assert cert.potential is not None
         payload["potential"] = {
-            str(v): str(p) for v, p in enumerate(cert.potential)
+            str(v): p.turns for v, p in enumerate(cert.potential)
         }
     else:
         assert cert.violation is not None
@@ -148,7 +146,7 @@ def _cmd_partition(args: argparse.Namespace) -> None:
         {
             "alpha": str(alpha),
             "kind": args.kind,
-            "classes": {str(p): list(vs) for p, vs in part.classes.items()},
+            "classes": {p.turns: list(vs) for p, vs in part.classes.items()},
         }
     )
 
@@ -279,7 +277,7 @@ def _report_json(report: CospectralReport) -> dict[str, Any]:
     }
 
 
-def _two_alphas(args: argparse.Namespace) -> tuple[UnitPhase, UnitPhase]:
+def _two_alphas(args: argparse.Namespace) -> tuple[Phase, Phase]:
     if len(args.alpha) != 2:
         raise ValueError("exactly two --alpha values are required")
     return make_alpha(args.alpha[0]), make_alpha(args.alpha[1])

@@ -29,9 +29,9 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import NumericalError, ScaleLimitError
-from .graphs import Edge, EdgeKind, MixedGraph, fundamental_cycles, underlying
+from .graphs import Edge, EdgeKind, MixedGraph, underlying
 from .monographs import MonographKind, is_monograph
-from .phases import UnitPhase
+from .phases import Phase
 from .spectra import (
     DEFAULT_TOL,
     build_hermitian,
@@ -83,8 +83,8 @@ class StructuralFlags:
 
 @dataclass(frozen=True)
 class CospectralReport:
-    alpha1: UnitPhase
-    alpha2: UnitPhase
+    alpha1: Phase
+    alpha2: Phase
     cospectral: bool
     max_gap: float
     flags: StructuralFlags
@@ -97,8 +97,7 @@ def even_arc_condition(graph: MixedGraph) -> bool:
     checking the basis cycles settles all cycles at once.  Traversal
     direction never changes the count.
     """
-    basis = fundamental_cycles(graph)
-    for walk in basis.cycles:
+    for walk in graph.cycle_basis.cycles:
         arcs = sum(
             1
             for a, b in walk.steps()
@@ -133,10 +132,10 @@ def oriented_bipartite(graph: MixedGraph) -> bool:
 
 def _is_tree_like(graph: MixedGraph) -> bool:
     # forests count: no fundamental cycles at all
-    return not fundamental_cycles(graph).cycles
+    return not graph.cycle_basis.cycles
 
 
-def _same_kind_both(graph: MixedGraph, alpha1: UnitPhase, alpha2: UnitPhase) -> bool:
+def _same_kind_both(graph: MixedGraph, alpha1: Phase, alpha2: Phase) -> bool:
     for kind in (MonographKind.FIRST, MonographKind.SECOND):
         if (
             is_monograph(graph, alpha1, kind).verdict
@@ -147,7 +146,7 @@ def _same_kind_both(graph: MixedGraph, alpha1: UnitPhase, alpha2: UnitPhase) -> 
 
 
 def _structural_flags(
-    graph: MixedGraph, alpha1: UnitPhase, alpha2: UnitPhase
+    graph: MixedGraph, alpha1: Phase, alpha2: Phase
 ) -> StructuralFlags:
     return StructuralFlags(
         even_arc_condition=even_arc_condition(graph),
@@ -159,8 +158,8 @@ def _structural_flags(
 
 def numeric_cospectral(
     graph: MixedGraph,
-    alpha1: UnitPhase,
-    alpha2: UnitPhase,
+    alpha1: Phase,
+    alpha2: Phase,
     tol: float = DEFAULT_TOL,
 ) -> CospectralReport:
     """Compare the spectra of one graph under two phases.
@@ -179,8 +178,8 @@ def numeric_cospectral(
         if graph.n
         else 0.0
     )
-    p1 = char_poly(m1)
-    p2 = char_poly(m2)
+    p1 = char_poly(m1, spec1)
+    p2 = char_poly(m2, spec2)
     coeff_gap = (
         max(abs(a - b) for a, b in zip(p1.coefficients, p2.coefficients))
         if graph.n
@@ -245,8 +244,8 @@ def enumerate_mixed_graphs(n: int) -> Iterator[tuple[int, MixedGraph]]:
 
 def search_cospectral(
     n: int,
-    alpha1: UnitPhase,
-    alpha2: UnitPhase,
+    alpha1: Phase,
+    alpha2: Phase,
     mode: str = "exhaustive",
     count: int | None = None,
     seed: int | None = None,

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .errors import InvalidWalkError, ScaleLimitError
 from .graphs import Edge, MixedGraph, Walk, enumerate_simple_cycles, underlying
-from .phases import UnitPhase, arc_balance, rotation_cos, walk_value_h
+from .phases import Phase, arc_balance, rotation_cos, walk_value_h
 from .spectra import CharPoly
 
 __all__ = [
@@ -122,7 +122,7 @@ def enumerate_elementary(graph: MixedGraph, k: int) -> tuple[ElementarySubgraph,
     return tuple(s for s in _packings(graph) if len(s.vertex_set) == k)
 
 
-def subgraph_term(graph: MixedGraph, alpha: UnitPhase, sub: ElementarySubgraph) -> float:
+def subgraph_term(graph: MixedGraph, alpha: Phase, sub: ElementarySubgraph) -> float:
     """Contribution of one packing: (-1)^r * prod over cycles of 2*Re(value).
 
     Both traversal directions of every cycle enter the determinant, each
@@ -135,7 +135,7 @@ def subgraph_term(graph: MixedGraph, alpha: UnitPhase, sub: ElementarySubgraph) 
     r, _ = sub.rank_data
     term = -1.0 if r % 2 else 1.0
     for c in sub.cycles:
-        term *= 2.0 * rotation_cos(walk_value_h(graph, alpha, c).rotation)
+        term *= 2.0 * walk_value_h(graph, alpha, c).real
     return term
 
 
@@ -159,7 +159,7 @@ def _term_profile(
     return tuple(dict(d) for d in prof)
 
 
-def char_poly_expansion(graph: MixedGraph, alpha: UnitPhase) -> CharPoly:
+def char_poly_expansion(graph: MixedGraph, alpha: Phase) -> CharPoly:
     """All coefficients c1..cn from the packing enumeration."""
     _guard(graph)
     prof = _term_profile(graph)

@@ -109,6 +109,11 @@ class MixedGraph:
         return tuple(sorted(self.edges, key=lambda e: e.pair))
 
     @cached_property
+    def cycle_basis(self) -> FundamentalCycleBasis:
+        """The graph's fundamental cycle basis, built once per graph."""
+        return fundamental_cycles(self)
+
+    @cached_property
     def _codes(self) -> dict[tuple[int, int], int]:
         # 0 digon, +1 arc traversed with its direction, -1 against it
         codes: dict[tuple[int, int], int] = {}

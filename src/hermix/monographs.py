@@ -39,9 +39,8 @@ from .graphs import (
     Walk,
     connected_components,
     degree_profile,
-    fundamental_cycles,
 )
-from .phases import ALPHA_ONE, Phase, UnitPhase, arc_balance
+from .phases import ALPHA_ONE, Phase, arc_balance
 from .spectra import (
     DEFAULT_TOL,
     EIGEN_RESIDUAL_TOL,
@@ -72,9 +71,6 @@ __all__ = [
     "every_alpha_monograph",
 ]
 
-_HALF = Fraction(1, 2)
-
-
 class MonographKind(Enum):
     FIRST = 1
     SECOND = 2
@@ -87,22 +83,13 @@ def _cycle_data(graph: MixedGraph, basis: FundamentalCycleBasis) -> list[tuple[W
     ]
 
 
-def _is_trivial(alpha: UnitPhase, kind: MonographKind, balance: int, edges: int) -> bool:
-    if alpha.is_exact:
-        rot = alpha.rotation * balance
-        if kind is MonographKind.SECOND and edges % 2:
-            rot = rot + _HALF
-        return rot % 1 == 0
-    if balance != 0:
-        return False
-    return kind is MonographKind.FIRST or edges % 2 == 0
+def _value(alpha: Phase, kind: MonographKind, balance: int, edges: int) -> Phase:
+    return alpha.walk_value(balance, edges, signed=kind is MonographKind.SECOND)
 
 
-def _value_rotation(alpha: UnitPhase, kind: MonographKind, balance: int, edges: int):
-    rot = alpha.rotation * balance
-    if kind is MonographKind.SECOND and edges % 2:
-        rot = rot + _HALF
-    return rot % 1
+def _is_trivial(alpha: Phase, kind: MonographKind, balance: int, edges: int) -> bool:
+    # an angle has infinite order, so only a zero balance can cancel it
+    return (alpha.is_exact or balance == 0) and _value(alpha, kind, balance, edges).is_identity()
 
 
 def _tree_gauge(graph: MixedGraph, basis: FundamentalCycleBasis) -> tuple[list[int], list[int]]:
@@ -142,18 +129,15 @@ class StoreDescriptor:
     size: int | None
 
 
-def compute_store(graph: MixedGraph, alpha: UnitPhase, kind: MonographKind) -> StoreDescriptor:
+def compute_store(graph: MixedGraph, alpha: Phase, kind: MonographKind) -> StoreDescriptor:
     """Store of closed-walk values for a connected graph.
 
     Raises ValueError on disconnected input; split into components first.
     """
     if graph.n == 0 or len(connected_components(graph)) != 1:
         raise ValueError("compute_store requires a connected graph")
-    basis = fundamental_cycles(graph)
-    data = _cycle_data(graph, basis)
-    phases = tuple(
-        Phase(_value_rotation(alpha, kind, bal, edges)) for _, bal, edges in data
-    )
+    data = _cycle_data(graph, graph.cycle_basis)
+    phases = tuple(_value(alpha, kind, bal, edges) for _, bal, edges in data)
     if alpha.is_exact:
         rots = [p.rotation for p in phases]
         denom = math.lcm(*(r.denominator for r in rots)) if rots else 1
@@ -182,21 +166,20 @@ class MonographCertificate:
     violation: Walk | None
 
 
-def is_monograph(graph: MixedGraph, alpha: UnitPhase, kind: MonographKind) -> MonographCertificate:
+def is_monograph(graph: MixedGraph, alpha: Phase, kind: MonographKind) -> MonographCertificate:
     """Decide the monograph property structurally, per connected component.
 
     Checks the fundamental cycles of every component; disconnected graphs
     pass only when all components do.  The returned potential is rooted at
     the smallest vertex of each component.
     """
-    basis = fundamental_cycles(graph)
+    basis = graph.cycle_basis
     for walk, bal, edges in _cycle_data(graph, basis):
         if not _is_trivial(alpha, kind, bal, edges):
             return MonographCertificate(False, None, walk)
     balances, depths = _tree_gauge(graph, basis)
     potential = tuple(
-        Phase(_value_rotation(alpha, kind, balances[v], depths[v]))
-        for v in range(graph.n)
+        _value(alpha, kind, balances[v], depths[v]) for v in range(graph.n)
     )
     return MonographCertificate(True, potential, None)
 
@@ -215,7 +198,7 @@ class MonographPartition:
 
 
 def monograph_partition(
-    graph: MixedGraph, alpha: UnitPhase, kind: MonographKind
+    graph: MixedGraph, alpha: Phase, kind: MonographKind
 ) -> MonographPartition:
     """Group vertices by potential; raises NotMonographError when there is none."""
     cert = is_monograph(graph, alpha, kind)
@@ -226,12 +209,11 @@ def monograph_partition(
             f"cycle {list(cert.violation.vertices)} has nontrivial value"
         )
     assert cert.potential is not None
-    basis = fundamental_cycles(graph)
-    balances, depths = _tree_gauge(graph, basis)
+    balances, depths = _tree_gauge(graph, graph.cycle_basis)
     groups: dict[object, list[int]] = {}
     for v in range(graph.n):
         if alpha.is_exact:
-            key: object = cert.potential[v].rotation
+            key: object = cert.potential[v]
         elif kind is MonographKind.SECOND:
             key = (balances[v], depths[v] % 2)
         else:
@@ -246,7 +228,7 @@ def monograph_partition(
 
 def _check_partition_edges(
     graph: MixedGraph,
-    alpha: UnitPhase,
+    alpha: Phase,
     kind: MonographKind,
     balances: list[int],
     depths: list[int],
@@ -255,19 +237,13 @@ def _check_partition_edges(
     """Every edge must move the potential exactly one step: digons keep it
     (first kind) or negate it (second kind); an arc multiplies by alpha, and
     by minus alpha for the second kind."""
-    second = kind is MonographKind.SECOND
     for e in graph.edges:
-        is_digon = e.kind is EdgeKind.DIGON
+        balance = 0 if e.kind is EdgeKind.DIGON else 1
         if alpha.is_exact:
-            expected = Fraction(0) if is_digon else alpha.rotation
-            if second:
-                expected += _HALF
-            actual = (potential[e.v].rotation - potential[e.u].rotation) % 1
-            ok = actual == expected % 1
+            ok = potential[e.u] * _value(alpha, kind, balance, 1) == potential[e.v]
         else:
-            want_balance = 0 if is_digon else 1
-            ok = balances[e.v] - balances[e.u] == want_balance
-            if second:
+            ok = balances[e.v] - balances[e.u] == balance
+            if kind is MonographKind.SECOND:
                 ok = ok and (depths[e.v] - depths[e.u]) % 2 == 1
         if not ok:
             raise NumericalError(
@@ -276,7 +252,7 @@ def _check_partition_edges(
 
 
 def transfer_eigenvectors(
-    graph: MixedGraph, alpha: UnitPhase, basis: Sequence[EigenPair]
+    graph: MixedGraph, alpha: Phase, basis: Sequence[EigenPair]
 ) -> list[EigenPair]:
     """Turn an eigenbasis of the underlying graph into one of the phase matrix.
 
@@ -316,7 +292,7 @@ def transfer_eigenvectors(
 
 
 def negated_spectrum_check(
-    graph: MixedGraph, alpha: UnitPhase, tol: float = DEFAULT_TOL
+    graph: MixedGraph, alpha: Phase, tol: float = DEFAULT_TOL
 ) -> bool:
     """For a second-kind monograph: does negating the underlying spectrum give
     the phase spectrum?  Compared within ``tol``."""
@@ -354,7 +330,7 @@ class Attachment:
 
 def extend_monograph(
     graph: MixedGraph,
-    alpha: UnitPhase,
+    alpha: Phase,
     base_vertices: Iterable[int],
     attachments: Sequence[Attachment],
 ) -> MixedGraph:
@@ -439,7 +415,7 @@ class RadiusReport:
 
 
 def radius_equality_analysis(
-    graph: MixedGraph, alpha: UnitPhase, tol: float = DEFAULT_TOL
+    graph: MixedGraph, alpha: Phase, tol: float = DEFAULT_TOL
 ) -> RadiusReport:
     """For a connected graph: rho always stays below the maximum degree, with
     equality exactly on regular monographs of either kind.
@@ -463,7 +439,7 @@ def radius_equality_analysis(
     return RadiusReport(rho, delta, equal, profile.is_regular, mono1, mono2, consistent)
 
 
-def _no_power_is_minus_power(alpha: UnitPhase) -> bool:
+def _no_power_is_minus_power(alpha: Phase) -> bool:
     # -1 lies in the cyclic group generated by alpha exactly when the order is even
     if alpha.is_exact:
         order = alpha.order
@@ -474,5 +450,4 @@ def _no_power_is_minus_power(alpha: UnitPhase) -> bool:
 def every_alpha_monograph(graph: MixedGraph) -> bool:
     """True when every fundamental cycle has arc balance zero, which makes the
     graph a first-kind monograph for every choice of alpha."""
-    basis = fundamental_cycles(graph)
-    return all(arc_balance(graph, walk).balance == 0 for walk in basis.cycles)
+    return all(arc_balance(graph, w).balance == 0 for w in graph.cycle_basis.cycles)

@@ -1,18 +1,20 @@
 """Unit complex numbers as rotations of the circle, and walk values.
 
-A rotation of ``t`` turns stands for ``exp(2*pi*i*t)``.  Rational rotations
-are kept as exact ``Fraction`` values so products, powers, conjugates and
-divisibility questions carry no floating point error; an arbitrary angle is
+One type, :class:`Phase`, stands for every unit number in the package: the
+alpha that weights arcs, walk and cycle values, and vertex potentials.  A
+rotation of ``t`` turns stands for ``exp(2*pi*i*t)``.  Rational rotations
+(roots of unity) are kept as exact ``Fraction`` values so products, powers,
+conjugates and orders carry no floating point error; an arbitrary angle is
 kept as a float rotation and compared with tolerance ``1e-9``.  Floats are
 never promoted back to rationals, so an angle-built phase is treated as
 having infinite multiplicative order even if the float happens to look
 rational.
 
 The value of a walk is the product of its matrix entries: a digon step
-contributes 1, an arc contributes the chosen phase when traversed with its
-direction and the conjugate against it.  The product therefore equals the
-phase raised to the walk's arc balance.  The signed variant multiplies by
-(-1) per edge.
+contributes 1, an arc contributes alpha when traversed with its direction
+and the conjugate against it.  The product therefore equals alpha raised to
+the walk's arc balance.  The signed variant multiplies by (-1) per edge.
+:meth:`Phase.walk_value` states this rule once for every caller.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .graphs import MixedGraph, Walk
 __all__ = [
     "Rotation",
     "Phase",
-    "UnitPhase",
     "ALPHA_ONE",
     "ALPHA_I",
     "ALPHA_GAMMA",
@@ -96,10 +97,16 @@ def _cyclic_distance(rotation: float) -> float:
 class Phase:
     """A point on the unit circle, stored as its rotation mod 1.
 
+    Build exact roots of unity with :meth:`from_root` (gcd reduction is
+    automatic through Fraction) and arbitrary angles with :meth:`from_angle`.
     Arithmetic stays exact while the rotation is a Fraction; mixing with a
     float rotation demotes the result to float.  Equality and hashing are by
     numeric rotation value (a Fraction equals the float of the same value);
-    use :meth:`isclose` for tolerant comparison of float-built phases.
+    use :meth:`isclose` for tolerant comparison of float phases.
+
+    ``str(p)`` is the alpha spec (``root:k/n`` or ``angle:<radians>``) that
+    :func:`make_alpha` reads back; :attr:`turns` is the bare rotation that
+    potentials and partition classes print.
     """
 
     rotation: Rotation
@@ -108,8 +115,16 @@ class Phase:
         object.__setattr__(self, "rotation", self.rotation % 1)
 
     @classmethod
-    def one(cls) -> "Phase":
-        return cls(Fraction(0))
+    def from_root(cls, k: int, n: int) -> "Phase":
+        """exp(2*pi*i*k/n) for integer k and positive n."""
+        if n <= 0:
+            raise ValueError("root denominator must be positive")
+        return cls(Fraction(k, n))
+
+    @classmethod
+    def from_angle(cls, theta: float) -> "Phase":
+        """exp(i*theta); the rotation is kept as a float."""
+        return cls(float(theta) / (2.0 * math.pi))
 
     @classmethod
     def minus_one(cls) -> "Phase":
@@ -119,6 +134,13 @@ class Phase:
     def is_exact(self) -> bool:
         return isinstance(self.rotation, Fraction)
 
+    @property
+    def order(self) -> int | float:
+        """Multiplicative order: the reduced denominator, or inf for floats."""
+        if self.is_exact:
+            return self.rotation.denominator if self.rotation != 0 else 1
+        return math.inf
+
     def __mul__(self, other: "Phase") -> "Phase":
         return Phase(self.rotation + other.rotation)
 
@@ -127,6 +149,13 @@ class Phase:
 
     def conjugate(self) -> "Phase":
         return Phase(-self.rotation)
+
+    def walk_value(self, balance: int, edges: int, signed: bool) -> "Phase":
+        """Value, with this phase as alpha, of a walk with the given arc
+        balance and edge count: ``alpha ** balance``, times (-1) per edge
+        when ``signed``."""
+        value = self**balance
+        return value * Phase.minus_one() ** edges if signed else value
 
     @property
     def value(self) -> complex:
@@ -146,56 +175,13 @@ class Phase:
             return self.rotation == other.rotation
         return _cyclic_distance(float(self.rotation) - float(other.rotation)) <= tol
 
-    def __str__(self) -> str:
+    @property
+    def turns(self) -> str:
+        """The rotation as text: ``1/3`` when exact, 12 significant digits
+        otherwise."""
         if self.is_exact:
             return str(self.rotation)
         return format(float(self.rotation), ".12g")
-
-
-@dataclass(frozen=True)
-class UnitPhase:
-    """The unit number chosen to weight arcs, stored as a rotation mod 1.
-
-    Build exact roots of unity with :meth:`from_root` (gcd reduction is
-    automatic through Fraction) and arbitrary angles with
-    :meth:`from_angle`.  Angle-built instances have float rotations and are
-    treated as having infinite order.
-    """
-
-    rotation: Rotation
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rotation", self.rotation % 1)
-
-    @classmethod
-    def from_root(cls, k: int, n: int) -> "UnitPhase":
-        """exp(2*pi*i*k/n) for integer k and positive n."""
-        if n <= 0:
-            raise ValueError("root denominator must be positive")
-        return cls(Fraction(k, n))
-
-    @classmethod
-    def from_angle(cls, theta: float) -> "UnitPhase":
-        """exp(i*theta); the rotation is kept as a float."""
-        return cls(float(theta) / (2.0 * math.pi))
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.rotation, Fraction)
-
-    @property
-    def order(self) -> int | float:
-        """Multiplicative order: the reduced denominator, or inf for angles."""
-        if self.is_exact:
-            return self.rotation.denominator if self.rotation != 0 else 1
-        return math.inf
-
-    @property
-    def value(self) -> complex:
-        return complex(rotation_cos(self.rotation), rotation_sin(self.rotation))
-
-    def as_phase(self) -> Phase:
-        return Phase(self.rotation)
 
     def __str__(self) -> str:
         if self.is_exact:
@@ -204,10 +190,10 @@ class UnitPhase:
         return f"angle:{format(float(self.rotation) * 2.0 * math.pi, '.12g')}"
 
 
-ALPHA_ONE = UnitPhase(Fraction(0))
-ALPHA_I = UnitPhase(Fraction(1, 4))
-ALPHA_GAMMA = UnitPhase(Fraction(1, 3))
-ALPHA_OMEGA = UnitPhase(Fraction(1, 6))
+ALPHA_ONE = Phase(Fraction(0))
+ALPHA_I = Phase(Fraction(1, 4))
+ALPHA_GAMMA = Phase(Fraction(1, 3))
+ALPHA_OMEGA = Phase(Fraction(1, 6))
 
 _NAMED_ALPHAS = {
     "1": Fraction(0),
@@ -217,12 +203,12 @@ _NAMED_ALPHAS = {
 }
 
 
-def make_alpha(spec: str) -> UnitPhase:
+def make_alpha(spec: str) -> Phase:
     """Parse an alpha spec: ``i``, ``gamma``, ``omega``, ``1``, ``root:k/n``
     or ``angle:<radians>``."""
     s = spec.strip()
     if s in _NAMED_ALPHAS:
-        return UnitPhase(_NAMED_ALPHAS[s])
+        return Phase(_NAMED_ALPHAS[s])
     if s.startswith("root:"):
         body = s[len("root:") :]
         m = re.match(r"^(-?\d+)/(\d+)$", body)
@@ -231,7 +217,7 @@ def make_alpha(spec: str) -> UnitPhase:
         k, n = int(m.group(1)), int(m.group(2))
         if n == 0:
             raise ValueError("root denominator must be positive")
-        return UnitPhase.from_root(k, n)
+        return Phase.from_root(k, n)
     if s.startswith("angle:"):
         body = s[len("angle:") :]
         try:
@@ -240,7 +226,7 @@ def make_alpha(spec: str) -> UnitPhase:
             raise ValueError(f"bad angle spec {spec!r}") from None
         if not math.isfinite(theta):
             raise ValueError("angle must be finite")
-        return UnitPhase.from_angle(theta)
+        return Phase.from_angle(theta)
     raise ValueError(f"unrecognized alpha spec {spec!r}")
 
 
@@ -266,16 +252,11 @@ def arc_balance(graph: MixedGraph, walk: Walk) -> ArcBalance:
     return ArcBalance(balance, walk.edge_count)
 
 
-def walk_value_h(graph: MixedGraph, alpha: UnitPhase, walk: Walk) -> Phase:
+def walk_value_h(graph: MixedGraph, alpha: Phase, walk: Walk) -> Phase:
     """Product of matrix entries along the walk; equals alpha**balance."""
-    bal, _ = arc_balance(graph, walk)
-    return Phase(alpha.rotation * bal)
+    return alpha.walk_value(*arc_balance(graph, walk), signed=False)
 
 
-def walk_value_g(graph: MixedGraph, alpha: UnitPhase, walk: Walk) -> Phase:
+def walk_value_g(graph: MixedGraph, alpha: Phase, walk: Walk) -> Phase:
     """The signed walk value: (-1) per edge times the plain walk value."""
-    bal, edges = arc_balance(graph, walk)
-    rot = alpha.rotation * bal
-    if edges % 2:
-        rot = rot + _HALF
-    return Phase(rot)
+    return alpha.walk_value(*arc_balance(graph, walk), signed=True)

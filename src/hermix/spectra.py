@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .graphs import EdgeKind, MixedGraph
-from .phases import UnitPhase
+from .phases import Phase
 
 __all__ = [
     "EIGEN_RESIDUAL_TOL",
@@ -135,7 +135,7 @@ class EigenPair:
         object.__setattr__(self, "eigenvalue", float(self.eigenvalue))
 
 
-def build_hermitian(graph: MixedGraph, alpha: UnitPhase) -> HermitianMatrix:
+def build_hermitian(graph: MixedGraph, alpha: Phase) -> HermitianMatrix:
     """The phase-weighted Hermitian adjacency matrix of the graph."""
     a = np.zeros((graph.n, graph.n), dtype=np.complex128)
     val = alpha.value
@@ -174,15 +174,18 @@ def eigen_decomposition(matrix: HermitianMatrix) -> tuple[Spectrum, list[EigenPa
     return Spectrum(tuple(p.eigenvalue for p in pairs)), pairs
 
 
-def char_poly(matrix: HermitianMatrix) -> CharPoly:
+def char_poly(matrix: HermitianMatrix, spectrum: Spectrum) -> CharPoly:
     """Characteristic polynomial coefficients by trace recursion.
 
     Runs the Faddeev-LeVerrier recursion in complex arithmetic, demands the
     imaginary residue of every coefficient stay under ``COEFF_TOL``, and
-    cross-checks against the polynomial expanded from the eigenvalues.  Any
-    disagreement raises NumericalError.
+    cross-checks against the polynomial expanded from ``spectrum``, the
+    matrix's eigenvalues as :func:`eigen_decomposition` returns them, so the
+    matrix is solved only once.  Any disagreement raises NumericalError.
     """
     n = matrix.n
+    if len(spectrum) != n:
+        raise ValueError(f"spectrum has {len(spectrum)} values for an {n}x{n} matrix")
     if n == 0:
         return CharPoly(())
     a = np.asarray(matrix.entries)
@@ -199,7 +202,7 @@ def char_poly(matrix: HermitianMatrix) -> CharPoly:
             f"characteristic polynomial imaginary residue {worst_imag:.3e} exceeds {COEFF_TOL:.3e}"
         )
     real = [c.real for c in coeffs]
-    from_roots = np.poly(np.linalg.eigvalsh(a))
+    from_roots = np.poly(spectrum.values)
     gap = max(abs(real[j] - float(from_roots[j + 1])) for j in range(n))
     if gap > COEFF_TOL:
         raise NumericalError(
@@ -208,7 +211,7 @@ def char_poly(matrix: HermitianMatrix) -> CharPoly:
     return CharPoly(tuple(real))
 
 
-def spectral_radius(graph: MixedGraph, alpha: UnitPhase) -> float:
+def spectral_radius(graph: MixedGraph, alpha: Phase) -> float:
     """Largest absolute eigenvalue; 0.0 for the empty graph."""
     if graph.n == 0:
         return 0.0
@@ -223,7 +226,7 @@ def spectra_equal(a: Spectrum, b: Spectrum, tol: float = DEFAULT_TOL) -> bool:
     return all(abs(x - y) <= tol for x, y in zip(a, b))
 
 
-def verify_eigenpair(graph: MixedGraph, alpha: UnitPhase, pair: EigenPair) -> float:
+def verify_eigenpair(graph: MixedGraph, alpha: Phase, pair: EigenPair) -> float:
     """Largest violation of the vertex summation rule.
 
     At every vertex u the eigenvalue times x(u) must equal the sum of x over

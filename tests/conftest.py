@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from hermix import MixedGraph, parse_graph
+from hermix import (
+    CharPoly,
+    MixedGraph,
+    Phase,
+    build_hermitian,
+    char_poly,
+    eigen_decomposition,
+    parse_graph,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -52,6 +60,13 @@ def p3() -> MixedGraph:
 def k4x() -> MixedGraph:
     """The stored K4 orientation that is a second-kind monograph for i."""
     return parse_graph((FIXTURES / "k4x.mg").read_text())
+
+
+def numeric_char_poly(g: MixedGraph, alpha: Phase) -> CharPoly:
+    """The trace-recursion polynomial, cross-checked against the matrix's own
+    eigenvalues."""
+    matrix = build_hermitian(g, alpha)
+    return char_poly(matrix, eigen_decomposition(matrix)[0])
 
 
 def complete_mixed(n: int, rng: random.Random) -> MixedGraph:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 
@@ -12,6 +13,8 @@ import pytest
 
 from hermix import serialize_graph
 from hermix.cli import main
+
+from conftest import complete_mixed
 
 
 @pytest.fixture
@@ -62,6 +65,14 @@ class TestCharpoly:
         assert plain["char_poly"] == pytest.approx(oracle["char_poly"], abs=1e-8)
         assert set(plain) == set(oracle)
 
+    def test_oracle_beyond_its_guard_is_input_error(self, capsys, tmp_path):
+        # dense enough that the trace recursion fails its residue check on it;
+        # the oracle must not run it, so the size guard decides the exit code
+        path = tmp_path / "k16.mg"
+        path.write_text(serialize_graph(complete_mixed(16, random.Random(0))))
+        assert main(["charpoly", "--oracle", "--alpha", "gamma", str(path)]) == 2
+        assert "limited to 12 vertices" in capsys.readouterr().err
+
 
 class TestMonograph:
     def test_verdict_true(self, capsys, dc3_file):
@@ -75,6 +86,17 @@ class TestMonograph:
         assert data["is_monograph"] is False
         assert data["potential"] is None
         assert data["violation"] == [0, 1, 2, 0]
+
+    def test_angle_potentials_and_classes_print_turns(self, capsys, tmp_path):
+        # arcs 0->1->2 and 0->3->2 close a balance-0 cycle; 4->0 hangs off it
+        path = tmp_path / "g5.mg"
+        path.write_text("5\n0 -> 1\n1 -> 2\n0 -> 3\n3 -> 2\n4 -> 0\n")
+        r, r2, minus_r = "0.159154943092", "0.318309886184", "0.840845056908"
+        mono = run_json(capsys, ["monograph", "--alpha", "angle:1.0", "--kind", "1", str(path)])
+        assert mono["alpha"] == "angle:1"
+        assert mono["potential"] == {"0": "0", "1": r, "2": r2, "3": r, "4": minus_r}
+        part = run_json(capsys, ["partition", "--alpha", "angle:1.0", "--kind", "1", str(path)])
+        assert part["classes"] == {"0": [0], r: [1, 3], r2: [2], minus_r: [4]}
 
 
 class TestPartition:

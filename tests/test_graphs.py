@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hermix.graphs
 from hermix import (
+    ALPHA_GAMMA,
+    ALPHA_I,
     Edge,
     EdgeKind,
     GraphFormatError,
@@ -20,7 +23,9 @@ from hermix import (
     enumerate_simple_cycles,
     fundamental_cycles,
     mixed_graph_from_code,
+    numeric_cospectral,
     parse_graph,
+    radius_equality_analysis,
     serialize_graph,
     underlying,
 )
@@ -187,6 +192,19 @@ class TestFundamentalCycles:
             c = len(connected_components(g))
             assert len(basis.tree_edges) == g.n - c
             assert sum(1 for p in basis.parents if p is None) == c
+
+    def test_cycle_basis_is_built_once_per_graph(self, monkeypatch, k4x):
+        built = []
+
+        def counting(graph):
+            built.append(graph)
+            return fundamental_cycles(graph)
+
+        monkeypatch.setattr(hermix.graphs, "fundamental_cycles", counting)
+        numeric_cospectral(k4x, ALPHA_I, ALPHA_GAMMA)
+        radius_equality_analysis(k4x, ALPHA_I)
+        assert built == [k4x]
+        assert k4x.cycle_basis == fundamental_cycles(k4x)
 
 
 def brute_force_simple_cycles(g, max_len: int) -> set[tuple[int, ...]]:

@@ -21,7 +21,6 @@ from hermix import (
     MonographKind,
     NotMonographError,
     Phase,
-    UnitPhase,
     build_hermitian,
     compute_store,
     eigen_decomposition,
@@ -50,7 +49,7 @@ GAMMA_VALUE = complex(-0.5, math.sqrt(3.0) / 2.0)
 
 
 def closed_walk_values(
-    g: MixedGraph, alpha: UnitPhase, start: int, kind: MonographKind
+    g: MixedGraph, alpha: Phase, start: int, kind: MonographKind
 ) -> frozenset[Phase]:
     """Values of all closed walks at ``start``, by closure over (vertex, phase)
     states.  Exact alphas only: the reachable phases form a finite group, so
@@ -72,7 +71,7 @@ def closed_walk_values(
     return frozenset(ph for v, ph in seen if v == start)
 
 
-def brute_force_monograph(g: MixedGraph, alpha: UnitPhase, kind: MonographKind) -> bool:
+def brute_force_monograph(g: MixedGraph, alpha: Phase, kind: MonographKind) -> bool:
     """Check every simple cycle, both traversals, value exactly 1."""
     value_fn = walk_value_h if kind is FIRST else walk_value_g
     for cycle in enumerate_simple_cycles(underlying(g), max(g.n, 3)):
@@ -87,7 +86,7 @@ class TestComputeStore:
         store = compute_store(dc3, ALPHA_I, FIRST)
         assert store.size == 4
         assert store.step == Fraction(1, 4)
-        assert [str(p) for p in store.generator_phases] == ["3/4"]
+        assert [p.turns for p in store.generator_phases] == ["3/4"]
 
     def test_dc3_store_matches_walk_values(self, dc3):
         store = compute_store(dc3, ALPHA_I, FIRST)
@@ -202,6 +201,8 @@ class TestIsMonograph:
     def test_angle_alpha_needs_zero_balance(self, dc3, ac4, dc4):
         angle = make_alpha("angle:1.0")
         assert not is_monograph(dc3, angle, FIRST).verdict
+        # angle 0 has value 1 but still counts as infinite order
+        assert not is_monograph(dc3, make_alpha("angle:0"), FIRST).verdict
         assert is_monograph(ac4, angle, FIRST).verdict
         assert is_monograph(ac4, angle, SECOND).verdict
         assert not is_monograph(dc4, angle, FIRST).verdict

@@ -19,7 +19,6 @@ from hermix import (
     InvalidWalkError,
     MixedGraph,
     Phase,
-    UnitPhase,
     Walk,
     arc_balance,
     make_alpha,
@@ -81,8 +80,11 @@ class TestPhase:
         assert not exact.isclose(Phase(0.3))
 
     def test_str(self):
-        assert str(Phase(Fraction(1, 4))) == "1/4"
-        assert str(Phase(Fraction(0))) == "0"
+        assert str(Phase(Fraction(1, 4))) == "root:1/4"
+        assert str(Phase(Fraction(0))) == "root:0/1"
+        assert Phase(Fraction(1, 4)).turns == "1/4"
+        assert Phase(Fraction(0)).turns == "0"
+        assert Phase(0.125).turns == "0.125"
 
 
 class TestMakeAlpha:
@@ -100,7 +102,7 @@ class TestMakeAlpha:
         assert ALPHA_ONE.order == 1
 
     def test_gamma_is_omega_squared(self):
-        assert ALPHA_OMEGA.as_phase() ** 2 == ALPHA_GAMMA.as_phase()
+        assert ALPHA_OMEGA**2 == ALPHA_GAMMA
 
     def test_root_spec(self):
         a = make_alpha("root:2/8")
@@ -188,12 +190,14 @@ class TestWalkValues:
     @given(st.integers(-12, 12), st.integers(0, 12), st.integers(1, 10), st.integers(0, 9))
     def test_value_formula(self, balance, edges, den, num):
         # direct check of the defining formulas on synthetic balance data
-        alpha = UnitPhase(Fraction(num, den))
+        alpha = Phase(Fraction(num, den))
         h = Phase(alpha.rotation * balance)
         g = h * (Phase.minus_one() ** edges)
         assert (h.rotation - alpha.rotation * balance) % 1 == 0
         expected_g = (alpha.rotation * balance + Fraction(edges, 2)) % 1
         assert g.rotation == expected_g
+        assert alpha.walk_value(balance, edges, signed=False) == h
+        assert alpha.walk_value(balance, edges, signed=True) == g
 
 
 def _random_walk(rng: random.Random, g: MixedGraph, steps: int) -> Walk:

@@ -26,7 +26,7 @@ from hermix import (
     verify_eigenpair,
 )
 
-from conftest import random_mixed_graph
+from conftest import numeric_char_poly, random_mixed_graph
 
 ALPHAS = (ALPHA_I, ALPHA_GAMMA, make_alpha("root:1/5"), make_alpha("angle:1.0"))
 
@@ -158,25 +158,25 @@ class TestVerifyEigenpair:
 class TestCharPoly:
     def test_dc3_both_alphas(self, dc3):
         assert np.allclose(
-            char_poly(build_hermitian(dc3, ALPHA_GAMMA)).coefficients,
+            numeric_char_poly(dc3, ALPHA_GAMMA).coefficients,
             [0.0, -3.0, -2.0],
             atol=1e-10,
         )
         assert np.allclose(
-            char_poly(build_hermitian(dc3, ALPHA_I)).coefficients,
+            numeric_char_poly(dc3, ALPHA_I).coefficients,
             [0.0, -3.0, 0.0],
             atol=1e-10,
         )
 
     def test_t2(self, t2):
         assert np.allclose(
-            char_poly(build_hermitian(t2, ALPHA_I)).coefficients,
+            numeric_char_poly(t2, ALPHA_I).coefficients,
             [0.0, -1.0],
             atol=1e-12,
         )
 
     def test_monic_and_degree(self, uc3):
-        poly = char_poly(build_hermitian(uc3, ALPHA_ONE))
+        poly = numeric_char_poly(uc3, ALPHA_ONE)
         assert poly.degree == 3
         assert poly.monic()[0] == 1.0
         assert len(poly.monic()) == 4
@@ -188,9 +188,16 @@ class TestCharPoly:
             for alpha in ALPHAS:
                 matrix = build_hermitian(g, alpha)
                 spec, _ = eigen_decomposition(matrix)
-                poly = char_poly(matrix)
+                poly = char_poly(matrix, spec)
                 roots = np.sort(np.roots(poly.monic()).real)[::-1]
                 assert np.allclose(roots, spec.values, atol=1e-6)
+
+    def test_cross_checks_the_given_spectrum(self, dc3):
+        matrix = build_hermitian(dc3, ALPHA_GAMMA)
+        with pytest.raises(NumericalError):
+            char_poly(matrix, Spectrum((2.0, -1.0, -0.5)))
+        with pytest.raises(ValueError):
+            char_poly(matrix, Spectrum((2.0, -1.0)))
 
 
 class TestSpectralRadius:
