@@ -19,6 +19,19 @@ raises instead of returning a quiet answer.
 The search helpers enumerate mixed graphs by a base-4 code over the vertex
 pairs in lexicographic order: 0 no edge, 1 digon, 2 arc low to high, 3 arc
 high to low.
+
+The search never builds a graph per code.  It scans codes in fixed chunks of
+``SEARCH_CHUNK``: digits are decoded into stacks of Hermitian matrices, each
+phase's stack goes through one batched eigensolve and one batched trace
+recursion, and every check of :func:`numeric_cospectral` runs on every
+graph of the chunk (the checks themselves live in ``spectra``).  The four
+structural flags come from one vectorised union-find sweep over the vertex
+pairs, which closes each fundamental cycle with a known arc balance and
+length parity; the structural guard then runs on the whole chunk.  Only the
+hits become :class:`MixedGraph` objects.  Exhaustive search stops at
+``MAX_EXHAUSTIVE_VERTICES`` = 5 vertices and random search at
+``MAX_RANDOM_VERTICES`` = 8, the last n whose 4**pairs codes fit a 64-bit
+index.
 """
 
 from __future__ import annotations
@@ -26,14 +39,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Union
+
+import numpy as np
 
 from .errors import NumericalError, ScaleLimitError
 from .graphs import Edge, EdgeKind, MixedGraph, underlying
-from .monographs import MonographKind, is_monograph
+from .monographs import MonographKind, _is_trivial, is_monograph
 from .phases import Phase
 from .spectra import (
     DEFAULT_TOL,
+    _char_poly_checked,
+    _Check,
+    _eigh_checked,
+    _first_failure,
+    _matrix_checks,
     build_hermitian,
     char_poly,
     eigen_decomposition,
@@ -51,8 +71,15 @@ __all__ = [
 ]
 
 MAX_EXHAUSTIVE_VERTICES = 5
+# 4**28 codes fit a 64-bit index; the 4**36 codes of 9 vertices do not
+MAX_RANDOM_VERTICES = 8
+# graphs per batched chunk of a search; fixed so peak memory stays flat
+SEARCH_CHUNK = 512
 
 _SIXTH_PAIR = {Fraction(1, 3), Fraction(1, 6)}
+
+# one structural flag: of one graph, or of each graph in a chunk
+_Flag = Union[bool, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -188,18 +215,37 @@ def numeric_cospectral(
     max_gap = max(spec_gap, coeff_gap)
     cospectral = max_gap <= tol
     flags = _structural_flags(graph, alpha1, alpha2)
-    guaranteed = flags.tree
-    if {alpha1.rotation, alpha2.rotation} == _SIXTH_PAIR and (
-        flags.even_arc_condition or flags.oriented_bipartite
-    ):
-        guaranteed = True
-    if flags.monograph_both:
-        guaranteed = True
-    if guaranteed and not cospectral:
-        raise NumericalError(
-            f"structural condition promises cospectrality but max gap is {max_gap:.3e}"
-        )
+    promised = _promised(
+        alpha1,
+        alpha2,
+        flags.tree,
+        flags.even_arc_condition,
+        flags.oriented_bipartite,
+        flags.monograph_both,
+    )
+    if promised and not cospectral:
+        raise NumericalError(_guard_message(max_gap))
     return CospectralReport(alpha1, alpha2, cospectral, max_gap, flags)
+
+
+def _promised(
+    alpha1: Phase,
+    alpha2: Phase,
+    tree: _Flag,
+    even_arc: _Flag,
+    bipartite: _Flag,
+    monograph_both: _Flag,
+) -> _Flag:
+    """Whether the structural flags promise cospectrality: a forest always,
+    even arc parity or oriented bipartiteness for the two sixth-turn phases,
+    and a monograph of one kind under both phases.  Takes booleans or
+    boolean arrays alike."""
+    sixth_pair = {alpha1.rotation, alpha2.rotation} == _SIXTH_PAIR
+    return tree | (sixth_pair & (even_arc | bipartite)) | monograph_both
+
+
+def _guard_message(max_gap: float) -> str:
+    return f"structural condition promises cospectrality but max gap is {max_gap:.3e}"
 
 
 def mixed_graph_from_code(n: int, code: int) -> MixedGraph:
@@ -233,13 +279,16 @@ def enumerate_mixed_graphs(n: int) -> Iterator[tuple[int, MixedGraph]]:
 
     Guarded: the count is 4 to the number of pairs, so only small n is
     allowed."""
+    for code in _exhaustive_codes(n):
+        yield code, mixed_graph_from_code(n, code)
+
+
+def _exhaustive_codes(n: int) -> range:
     if n > MAX_EXHAUSTIVE_VERTICES:
         raise ScaleLimitError(
             f"exhaustive enumeration is capped at {MAX_EXHAUSTIVE_VERTICES} vertices"
         )
-    pair_count = n * (n - 1) // 2
-    for code in range(4**pair_count):
-        yield code, mixed_graph_from_code(n, code)
+    return range(4 ** (n * (n - 1) // 2))
 
 
 def search_cospectral(
@@ -253,28 +302,183 @@ def search_cospectral(
 ) -> list[tuple[int, MixedGraph, CospectralReport]]:
     """Find graphs on ``n`` vertices cospectral under the two phases.
 
-    ``mode="exhaustive"`` walks every code (small n only).  ``mode="random"``
-    samples ``count`` distinct codes without replacement using ``seed``;
-    both are then required so runs stay reproducible.  Returns the hits as
-    (code, graph, report) triples in increasing code order.
+    ``mode="exhaustive"`` walks every code, for n up to
+    ``MAX_EXHAUSTIVE_VERTICES`` (5).  ``mode="random"`` samples ``count``
+    distinct codes without replacement using ``seed``; both are then
+    required so runs stay reproducible, and n may go up to
+    ``MAX_RANDOM_VERTICES`` (8): at 9 vertices the 4**36 codes overflow the
+    sampler's range and a 64-bit code.  Larger n raises ScaleLimitError.
+    Returns the hits as (code, graph, report) triples in increasing code
+    order, each report equal to :func:`numeric_cospectral` on that graph.
+
+    Codes are scanned in chunks of ``SEARCH_CHUNK`` with every check of
+    :func:`numeric_cospectral` applied to every graph; the first graph that
+    fails one raises NumericalError naming its code, n, both phases and the
+    failing stage.
     """
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    codes: range | list[int]
     if mode == "exhaustive":
-        source: Iterator[tuple[int, MixedGraph]] = enumerate_mixed_graphs(n)
+        codes = _exhaustive_codes(n)
     elif mode == "random":
         if count is None or seed is None:
             raise ValueError("random mode requires both count and seed")
-        pair_count = n * (n - 1) // 2
-        total = 4**pair_count
+        if n > MAX_RANDOM_VERTICES:
+            raise ScaleLimitError(
+                f"random search is capped at {MAX_RANDOM_VERTICES} vertices"
+            )
+        total = 4 ** (n * (n - 1) // 2)
         if count > total:
             raise ValueError(f"cannot sample {count} codes from {total}")
-        rng = random.Random(seed)
-        codes = sorted(rng.sample(range(total), count))
-        source = ((c, mixed_graph_from_code(n, c)) for c in codes)
+        codes = sorted(random.Random(seed).sample(range(total), count))
     else:
         raise ValueError(f"unknown search mode: {mode!r}")
+    scan = _ChunkScan(n, alpha1, alpha2, tol)
     hits = []
-    for code, graph in source:
-        report = numeric_cospectral(graph, alpha1, alpha2, tol)
-        if report.cospectral:
-            hits.append((code, graph, report))
+    for start in range(0, len(codes), SEARCH_CHUNK):
+        chunk = codes[start : start + SEARCH_CHUNK]
+        for i, report in scan(np.array(chunk, dtype=np.int64)):
+            hits.append((chunk[i], mixed_graph_from_code(n, chunk[i]), report))
     return hits
+
+
+# the pair code, low vertex to high, of each digit: none, digon, arc up, arc down
+_DIGIT_STEP = np.array([0, 0, 1, -1])
+
+
+class _ChunkScan:
+    """The batched form of :func:`numeric_cospectral` for codes on ``n``
+    vertices under one pair of phases."""
+
+    def __init__(self, n: int, alpha1: Phase, alpha2: Phase, tol: float) -> None:
+        self.n = n
+        self.alphas = (alpha1, alpha2)
+        self.tol = tol
+        self.pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        self.low = np.array([u for u, _ in self.pairs], dtype=np.intp)
+        self.high = np.array([v for _, v in self.pairs], dtype=np.intp)
+        self.place = 4 ** np.arange(len(self.pairs), dtype=np.int64)
+        # matrix entry by digit, above and below the diagonal, as build_hermitian sets it
+        values = [(a.value, a.value.conjugate()) for a in self.alphas]
+        self.above = [np.array([0, 1, v, c], dtype=np.complex128) for v, c in values]
+        self.below = [np.array([0, 1, c, v], dtype=np.complex128) for v, c in values]
+        # a closing edge plus two tree paths: balance at most 2n - 1 in size
+        self.span = 2 * n
+        self.trivial = np.array(
+            [
+                [
+                    [
+                        [_is_trivial(a, kind, b, parity) for parity in (0, 1)]
+                        for b in range(-self.span, self.span + 1)
+                    ]
+                    for kind in (MonographKind.FIRST, MonographKind.SECOND)
+                ]
+                for a in self.alphas
+            ],
+            dtype=bool,
+        )
+
+    def __call__(self, codes: np.ndarray) -> list[tuple[int, CospectralReport]]:
+        """Positions in ``codes`` of the hits, with their reports."""
+        n = self.n
+        digits = (codes[:, None] // self.place) % 4
+        checks: list[_Check] = []
+        stacks = []
+        for above, below in zip(self.above, self.below):
+            a = np.zeros((len(codes), n, n), dtype=np.complex128)
+            a[:, self.low, self.high] = above[digits]
+            a[:, self.high, self.low] = below[digits]
+            checks += _matrix_checks(a)
+            stacks.append(a)
+        spectra = []
+        for a in stacks:
+            evals, _, residual = _eigh_checked(a)
+            checks.append(residual)
+            spectra.append(evals)
+        polys = []
+        for a, evals in zip(stacks, spectra):
+            coeffs, poly_checks = _char_poly_checked(a, evals[:, ::-1])
+            checks += poly_checks
+            polys.append(coeffs)
+        max_gap = np.maximum(
+            np.max(np.abs(spectra[0] - spectra[1]), axis=-1, initial=0.0),
+            np.max(np.abs(polys[0] - polys[1]), axis=-1, initial=0.0),
+        )
+        cospectral = max_gap <= self.tol
+        flags = self._flags(digits)
+        promised = _promised(*self.alphas, *flags)
+        checks.append(
+            _Check(
+                "structural guard",
+                promised & ~cospectral,
+                lambda i: _guard_message(max_gap[i]),
+            )
+        )
+        failure = _first_failure(checks)
+        if failure is not None:
+            i, check = failure
+            a1, a2 = self.alphas
+            raise NumericalError(
+                f"{check.stage} failed on code {int(codes[i])} (n={n}, alphas "
+                f"{a1} and {a2}): {check.message(i)}"
+            )
+        tree, even_arc, bipartite, monograph_both = flags
+        return [
+            (
+                i,
+                CospectralReport(
+                    *self.alphas,
+                    True,
+                    float(max_gap[i]),
+                    StructuralFlags(
+                        even_arc_condition=bool(even_arc[i]),
+                        oriented_bipartite=bool(bipartite[i]),
+                        tree=bool(tree[i]),
+                        monograph_both=bool(monograph_both[i]),
+                    ),
+                ),
+            )
+            for i in map(int, np.flatnonzero(cospectral))
+        ]
+
+    def _flags(self, digits: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Tree, even arc, oriented bipartite and shared monograph kind.
+
+        Union-find over the pairs in code order keeps, per vertex, its root
+        and the arc balance and length parity of a tree walk from the root.
+        An edge inside one component closes a fundamental cycle whose balance
+        and parity follow from its ends; an edge between components moves the
+        second one under the first root, shifted by the same amounts.  Every
+        flag is a condition on the fundamental cycles of any spanning forest.
+        """
+        count, n = len(digits), self.n
+        root = np.tile(np.arange(n), (count, 1))
+        balance = np.zeros((count, n), dtype=np.int64)
+        parity = np.zeros((count, n), dtype=np.int64)
+        cyclic = np.zeros(count, dtype=bool)
+        odd_arcs = np.zeros(count, dtype=bool)
+        odd_length = np.zeros(count, dtype=bool)
+        nontrivial = np.zeros((2, 2, count), dtype=bool)
+        for p, (u, v) in enumerate(self.pairs):
+            edge = digits[:, p] != 0
+            shift = balance[:, u] + _DIGIT_STEP[digits[:, p]] - balance[:, v]
+            flip = parity[:, u] ^ parity[:, v] ^ 1
+            same = root[:, u] == root[:, v]
+            closes = edge & same
+            cyclic |= closes
+            odd_arcs |= closes & (shift % 2 == 1)
+            odd_length |= closes & (flip == 1)
+            nontrivial |= closes & ~self.trivial[:, :, shift + self.span, flip]
+            moved = (edge & ~same)[:, None] & (root == root[:, v, None])
+            balance = np.where(moved, balance + shift[:, None], balance)
+            parity = np.where(moved, parity ^ flip[:, None], parity)
+            root = np.where(moved, root[:, u, None], root)
+        mono = ~nontrivial
+        digon = np.any(digits == 1, axis=-1)
+        return (
+            ~cyclic,
+            ~odd_arcs,
+            ~(digon | odd_length),
+            (mono[0, 0] & mono[1, 0]) | (mono[0, 1] & mono[1, 1]),
+        )

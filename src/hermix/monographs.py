@@ -173,15 +173,22 @@ def is_monograph(graph: MixedGraph, alpha: Phase, kind: MonographKind) -> Monogr
     pass only when all components do.  The returned potential is rooted at
     the smallest vertex of each component.
     """
+    return _certify(graph, alpha, kind)[0]
+
+
+def _certify(
+    graph: MixedGraph, alpha: Phase, kind: MonographKind
+) -> tuple[MonographCertificate, tuple[list[int], list[int]] | None]:
+    """The certificate plus, on success, the tree gauge it was built from."""
     basis = graph.cycle_basis
     for walk, bal, edges in _cycle_data(graph, basis):
         if not _is_trivial(alpha, kind, bal, edges):
-            return MonographCertificate(False, None, walk)
+            return MonographCertificate(False, None, walk), None
     balances, depths = _tree_gauge(graph, basis)
     potential = tuple(
         _value(alpha, kind, balances[v], depths[v]) for v in range(graph.n)
     )
-    return MonographCertificate(True, potential, None)
+    return MonographCertificate(True, potential, None), (balances, depths)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,15 +208,15 @@ def monograph_partition(
     graph: MixedGraph, alpha: Phase, kind: MonographKind
 ) -> MonographPartition:
     """Group vertices by potential; raises NotMonographError when there is none."""
-    cert = is_monograph(graph, alpha, kind)
-    if not cert.verdict:
+    cert, gauge = _certify(graph, alpha, kind)
+    if gauge is None:
         assert cert.violation is not None
         raise NotMonographError(
             f"graph is not a monograph of kind {kind.value}: "
             f"cycle {list(cert.violation.vertices)} has nontrivial value"
         )
     assert cert.potential is not None
-    balances, depths = _tree_gauge(graph, graph.cycle_basis)
+    balances, depths = gauge
     groups: dict[object, list[int]] = {}
     for v in range(graph.n):
         if alpha.is_exact:
@@ -253,14 +260,15 @@ def _check_partition_edges(
 
 def transfer_eigenvectors(
     graph: MixedGraph, alpha: Phase, basis: Sequence[EigenPair]
-) -> list[EigenPair]:
+) -> tuple[list[EigenPair], float]:
     """Turn an eigenbasis of the underlying graph into one of the phase matrix.
 
     Requires a first-kind monograph.  Each input pair is verified against
     the underlying adjacency first.  The transferred vector multiplies every
     entry by the conjugate of the vertex potential, which keeps eigenvalues,
     norms and linear independence; every output pair is verified before it
-    is returned.
+    is returned.  Returns the transferred pairs and the largest of their
+    verification residuals (0.0 for an empty basis).
     """
     cert = is_monograph(graph, alpha, MonographKind.FIRST)
     if not cert.verdict:
@@ -280,6 +288,7 @@ def transfer_eigenvectors(
             )
     gauge = np.array([p.value.conjugate() for p in cert.potential], dtype=np.complex128)
     out: list[EigenPair] = []
+    worst = 0.0
     for pair in basis:
         moved = EigenPair(pair.eigenvalue, gauge * pair.vector)
         resid = verify_eigenpair(graph, alpha, moved)
@@ -287,8 +296,9 @@ def transfer_eigenvectors(
             raise NumericalError(
                 f"transferred pair residual {resid:.3e} exceeds {DEFAULT_TOL:.3e}"
             )
+        worst = max(worst, resid)
         out.append(moved)
-    return out
+    return out, worst
 
 
 def negated_spectrum_check(

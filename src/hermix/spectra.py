@@ -10,13 +10,17 @@ It returns real eigenvalues and an orthonormal eigenbasis, degenerate
 eigenspaces included, so no post-processing is needed beyond a residual
 check.
 
-Tolerances used across the package are centralized here.
+Tolerances used across the package are centralized here, and so is every
+consistency check on a matrix, its eigenpairs and its polynomial.  Each
+check is written once, over a stack of matrices: the single-matrix functions
+run it on a stack of one, and the batched cospectral search on whole chunks
+of graphs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -62,15 +66,121 @@ class HermitianMatrix:
         a = np.array(self.entries, dtype=np.complex128)
         if a.shape != (self.n, self.n):
             raise ValueError(f"expected a {self.n}x{self.n} matrix, got shape {a.shape}")
-        if not np.array_equal(a, a.conj().T):
-            raise ValueError("matrix is not exactly Hermitian")
-        if self.n and np.any(np.diagonal(a) != 0):
-            raise ValueError("diagonal must be zero")
-        nz = np.abs(a[a != 0])
-        if nz.size and float(np.max(np.abs(nz - 1.0))) > 1e-12:
-            raise ValueError("nonzero entries must have modulus 1")
+        _raise_first(_matrix_checks(a[None]), ValueError)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
+
+
+class _Check(NamedTuple):
+    """One consistency check over a stack of matrices: the stage it belongs
+    to, a mask of the failing matrices and the message for one of them."""
+
+    stage: str
+    failed: np.ndarray
+    message: Callable[[int], str]
+
+
+def _first_failure(checks: Iterable[_Check]) -> tuple[int, _Check] | None:
+    """The lowest failing stack index and the check it failed; when one
+    matrix fails several checks, the one listed first wins."""
+    first: tuple[int, _Check] | None = None
+    for check in checks:
+        if check.failed.any():
+            i = int(check.failed.argmax())
+            if first is None or i < first[0]:
+                first = (i, check)
+    return first
+
+
+def _raise_first(checks: Iterable[_Check], error: type[Exception]) -> None:
+    hit = _first_failure(checks)
+    if hit is not None:
+        i, check = hit
+        raise error(check.message(i))
+
+
+def _matrix_checks(a: np.ndarray) -> list[_Check]:
+    """Exactly Hermitian, zero diagonal, nonzero entries of modulus 1."""
+    modulus = np.abs(a)
+    return [
+        _Check(
+            "matrix check",
+            ~(a == a.conj().swapaxes(-1, -2)).all(axis=(-2, -1)),
+            lambda i: "matrix is not exactly Hermitian",
+        ),
+        _Check(
+            "matrix check",
+            a.diagonal(axis1=-2, axis2=-1).any(axis=-1),
+            lambda i: "diagonal must be zero",
+        ),
+        _Check(
+            "matrix check",
+            ((modulus != 0) & (np.abs(modulus - 1.0) > 1e-12)).any(axis=(-2, -1)),
+            lambda i: "nonzero entries must have modulus 1",
+        ),
+    ]
+
+
+def _eigh_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Check]:
+    """Batched complex Hermitian ``eigh``: ascending eigenvalues, eigenvector
+    columns, and the check that every pair's residual stays within
+    ``EIGEN_RESIDUAL_TOL * n``."""
+    evals, evecs = np.linalg.eigh(a)
+    resid = np.abs(a @ evecs - evecs * evals[..., None, :]).max(axis=(-2, -1), initial=0.0)
+    budget = EIGEN_RESIDUAL_TOL * a.shape[-1]
+    check = _Check(
+        "eigen residual",
+        resid > budget,
+        lambda i: f"eigenpair residual {resid[i]:.3e} exceeds {budget:.3e}",
+    )
+    return evals, evecs, check
+
+
+def _char_poly_checked(a: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, list[_Check]]:
+    """Faddeev-LeVerrier over a stack: real coefficients c1..cn per matrix,
+    and the checks on them.
+
+    The recursion runs in complex arithmetic; the imaginary residue of every
+    coefficient must stay under ``COEFF_TOL``, and the real parts must agree
+    within ``COEFF_TOL`` with the polynomial expanded from ``roots``, the
+    matrices' eigenvalues in descending order.
+    """
+    b, n = a.shape[0], a.shape[-1]
+    coeffs = np.empty((b, n), dtype=np.complex128)
+    if n:
+        c = -a.trace(axis1=-2, axis2=-1)
+        coeffs[:, 0] = c
+        eye = np.eye(n, dtype=np.complex128)
+        m = a
+        for k in range(2, n + 1):
+            m = a @ (m + c[:, None, None] * eye)
+            # -trace / k as Python's complex division computes it, signed
+            # zeros included: numpy's own would multiply by 1/k instead
+            c = ((m.trace(axis1=-2, axis2=-1) * -1.0).view(np.float64) / k).view(
+                np.complex128
+            )
+            coeffs[:, k - 1] = c
+    worst_imag = np.abs(coeffs.imag).max(axis=-1, initial=0.0)
+    real = coeffs.real
+    from_roots = np.zeros((b, n + 1))
+    from_roots[:, 0] = 1.0
+    for j in range(n):
+        from_roots[:, 1 : j + 2] -= roots[:, j, None] * from_roots[:, : j + 1]
+    gap = np.abs(real - from_roots[:, 1:]).max(axis=-1, initial=0.0)
+    checks = [
+        _Check(
+            "char-poly residue",
+            worst_imag > COEFF_TOL,
+            lambda i: f"characteristic polynomial imaginary residue {worst_imag[i]:.3e} "
+            f"exceeds {COEFF_TOL:.3e}",
+        ),
+        _Check(
+            "cross-check",
+            gap > COEFF_TOL,
+            lambda i: f"trace recursion and eigenvalue product disagree by {gap[i]:.3e}",
+        ),
+    ]
+    return real, checks
 
 
 @dataclass(frozen=True)
@@ -162,13 +272,9 @@ def eigen_decomposition(matrix: HermitianMatrix) -> tuple[Spectrum, list[EigenPa
     n = matrix.n
     if n == 0:
         return Spectrum(()), []
-    evals, evecs = np.linalg.eigh(matrix.entries)
-    pairs = [EigenPair(evals[j], evecs[:, j]) for j in range(n - 1, -1, -1)]
-    budget = EIGEN_RESIDUAL_TOL * n
-    for p in pairs:
-        resid = float(np.max(np.abs(matrix.entries @ p.vector - p.eigenvalue * p.vector)))
-        if resid > budget:
-            raise NumericalError(f"eigenpair residual {resid:.3e} exceeds {budget:.3e}")
+    evals, evecs, check = _eigh_checked(matrix.entries[None])
+    _raise_first([check], NumericalError)
+    pairs = [EigenPair(evals[0, j], evecs[0, :, j]) for j in range(n - 1, -1, -1)]
     # one source of truth: the spectrum lists exactly the pair eigenvalues,
     # so degenerate eigenvalues agree to the bit across both views
     return Spectrum(tuple(p.eigenvalue for p in pairs)), pairs
@@ -188,27 +294,9 @@ def char_poly(matrix: HermitianMatrix, spectrum: Spectrum) -> CharPoly:
         raise ValueError(f"spectrum has {len(spectrum)} values for an {n}x{n} matrix")
     if n == 0:
         return CharPoly(())
-    a = np.asarray(matrix.entries)
-    coeffs: list[complex] = []
-    m = a.copy()
-    coeffs.append(-complex(np.trace(m)))
-    eye = np.eye(n, dtype=np.complex128)
-    for k in range(2, n + 1):
-        m = a @ (m + coeffs[-1] * eye)
-        coeffs.append(-complex(np.trace(m)) / k)
-    worst_imag = max(abs(c.imag) for c in coeffs)
-    if worst_imag > COEFF_TOL:
-        raise NumericalError(
-            f"characteristic polynomial imaginary residue {worst_imag:.3e} exceeds {COEFF_TOL:.3e}"
-        )
-    real = [c.real for c in coeffs]
-    from_roots = np.poly(spectrum.values)
-    gap = max(abs(real[j] - float(from_roots[j + 1])) for j in range(n))
-    if gap > COEFF_TOL:
-        raise NumericalError(
-            f"trace recursion and eigenvalue product disagree by {gap:.3e}"
-        )
-    return CharPoly(tuple(real))
+    real, checks = _char_poly_checked(matrix.entries[None], np.array([spectrum.values]))
+    _raise_first(checks, NumericalError)
+    return CharPoly(tuple(real[0]))
 
 
 def spectral_radius(graph: MixedGraph, alpha: Phase) -> float:

@@ -11,7 +11,15 @@ import sys
 
 import pytest
 
-from hermix import serialize_graph
+from hermix import (
+    ALPHA_GAMMA,
+    ALPHA_ONE,
+    build_hermitian,
+    eigen_decomposition,
+    serialize_graph,
+    transfer_eigenvectors,
+    verify_eigenpair,
+)
 from hermix.cli import main
 
 from conftest import complete_mixed
@@ -111,9 +119,14 @@ class TestPartition:
 
 
 class TestTransfer:
-    def test_default_basis(self, capsys, dc3_file):
+    def test_default_basis(self, capsys, dc3_file, dc3):
         data = run_json(capsys, ["transfer", "--alpha", "gamma", dc3_file])
         assert data["max_residual"] <= 1e-8
+        # the reported residual is the worst one over the printed pairs
+        _, basis = eigen_decomposition(build_hermitian(dc3, ALPHA_ONE))
+        moved, _ = transfer_eigenvectors(dc3, ALPHA_GAMMA, basis)
+        worst = max(verify_eigenpair(dc3, ALPHA_GAMMA, p) for p in moved)
+        assert data["max_residual"] == float(f"{worst:.12g}")
         assert len(data["pairs"]) == 3
         lams = [p["lambda"] for p in data["pairs"]]
         assert lams == [2.0, -1.0, -1.0]
@@ -306,6 +319,11 @@ class TestErrorPaths:
         assert main(
             ["search-cospectral", "--n", "9", "--alpha", "i", "--alpha", "gamma"]
         ) == 2
+
+    def test_random_search_scale_guard(self, capsys):
+        argv = ["search-cospectral", "--n", "9", "--alpha", "i", "--alpha", "gamma"]
+        assert main(argv + ["--mode", "random", "--count", "5", "--seed", "1"]) == 2
+        assert "capped at 8 vertices" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path, k4x):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +14,7 @@ from hermix import (
     ALPHA_OMEGA,
     ALPHA_ONE,
     MixedGraph,
+    NumericalError,
     ScaleLimitError,
     enumerate_mixed_graphs,
     enumerate_simple_cycles,
@@ -24,6 +27,8 @@ from hermix import (
     search_cospectral,
     underlying,
 )
+from hermix.cospectral import SEARCH_CHUNK
+from hermix.spectra import DEFAULT_TOL
 
 from conftest import random_mixed_tree
 
@@ -119,6 +124,15 @@ class TestNumericCospectral:
         assert report.flags.monograph_both
         assert report.cospectral
 
+    def test_guard_follows_the_sixth_pair_rule(self):
+        # even arc parity, a cycle, and a monograph for neither phase
+        g = MixedGraph.from_edges(3, [(0, 2)], [(0, 1), (1, 2)])
+        flags = numeric_cospectral(g, ALPHA_GAMMA, ALPHA_I).flags
+        assert flags.even_arc_condition and not flags.tree and not flags.monograph_both
+        with pytest.raises(NumericalError, match="promises cospectrality"):
+            numeric_cospectral(g, ALPHA_GAMMA, ALPHA_OMEGA, tol=-1.0)
+        assert not numeric_cospectral(g, ALPHA_GAMMA, ALPHA_I, tol=-1.0).cospectral
+
     def test_max_gap_small_when_cospectral(self, ac4):
         report = numeric_cospectral(ac4, ALPHA_GAMMA, ALPHA_OMEGA)
         assert report.max_gap <= 1e-9
@@ -195,6 +209,120 @@ class TestSearch:
     def test_exhaustive_guard(self):
         with pytest.raises(ScaleLimitError):
             search_cospectral(6, ALPHA_I, ALPHA_GAMMA)
+
+    def test_random_guard(self):
+        # 4**36 codes at n = 9 overflow the sampler's range and a 64-bit code
+        search_cospectral(8, ALPHA_I, ALPHA_GAMMA, mode="random", count=3, seed=1)
+        with pytest.raises(ScaleLimitError):
+            search_cospectral(9, ALPHA_I, ALPHA_GAMMA, mode="random", count=3, seed=1)
+
+    def test_negative_vertex_count(self):
+        with pytest.raises(ValueError):
+            search_cospectral(-1, ALPHA_I, ALPHA_GAMMA)
+
+    def test_guard_failure_names_the_graph(self):
+        # every forest is promised cospectral, and no gap is within tol -1
+        with pytest.raises(NumericalError) as err:
+            search_cospectral(3, ALPHA_GAMMA, ALPHA_OMEGA, tol=-1.0)
+        message = str(err.value)
+        assert "guard" in message
+        assert "code 0 " in message
+        assert "n=3" in message and "root:1/3" in message and "root:1/6" in message
+
+
+BATCH_PAIRS = [
+    ("gamma", "omega"),
+    ("i", "gamma"),
+    ("root:2/5", "root:3/7"),
+    ("angle:0.7", "angle:2.1"),
+    # the only pair here under which a graph (the directed triangle) can be a
+    # second-kind monograph for both phases without being a first-kind one
+    ("omega", "root:1/2"),
+]
+N5_SAMPLE = dict(mode="random", count=300, seed=17)
+
+
+@pytest.fixture(scope="module", params=BATCH_PAIRS, ids="/".join)
+def per_graph(request):
+    """The alpha pair and ``numeric_cospectral`` on every code at n <= 4 and
+    on a seeded n = 5 sample, keyed by (n, code)."""
+    a1, a2 = (make_alpha(spec) for spec in request.param)
+    codes = [(n, code) for n in range(5) for code in range(4 ** (n * (n - 1) // 2))]
+    sample = random.Random(N5_SAMPLE["seed"]).sample(range(4**10), N5_SAMPLE["count"])
+    codes += [(5, code) for code in sorted(sample)]
+    reports = {
+        key: numeric_cospectral(mixed_graph_from_code(*key), a1, a2) for key in codes
+    }
+    return a1, a2, reports
+
+
+class TestBatchedSearch:
+    """The chunked search against the per-graph path it replaces."""
+
+    def test_every_code_matches_numeric_cospectral(self, per_graph):
+        a1, a2, reports = per_graph
+        scanned = {}
+        for n in range(5):
+            hits = search_cospectral(n, a1, a2, tol=math.inf)
+            assert len(hits) == 4 ** (n * (n - 1) // 2)
+            scanned.update(((n, code), report) for code, _, report in hits)
+        for code, _, report in search_cospectral(5, a1, a2, tol=math.inf, **N5_SAMPLE):
+            scanned[(5, code)] = report
+        assert scanned.keys() == reports.keys()
+        for key, expected in reports.items():
+            got = scanned[key]
+            assert abs(got.max_gap - expected.max_gap) <= 1e-12, key
+            assert (got.max_gap <= DEFAULT_TOL) == expected.cospectral, key
+            assert got.flags == expected.flags, key
+            assert (got.alpha1, got.alpha2) == (a1, a2)
+
+    def test_hits_match_the_per_graph_loop(self, per_graph):
+        a1, a2, reports = per_graph
+        assert 4**6 > SEARCH_CHUNK
+        hits = search_cospectral(4, a1, a2)
+        expected = [code for (n, code), r in reports.items() if n == 4 and r.cospectral]
+        assert [code for code, _, _ in hits] == expected
+        assert expected == sorted(expected)
+        for code, graph, report in hits:
+            assert graph == mixed_graph_from_code(4, code)
+            assert report.cospectral
+            assert report.flags == reports[(4, code)].flags
+
+
+def _even_arc_and_forest_counts(n: int) -> tuple[int, int]:
+    """How many codes on n vertices have every cycle crossing an even number
+    of arcs, and how many are forests, counted without decoding any code.
+
+    On a fixed underlying graph the arcs must form a cut (the edges across a
+    2-colouring), each arc in either direction, every other edge a digon.  A
+    graph with c components has 2**(n - c) cuts, so it is a forest exactly
+    when that exponent equals its edge count; then all 3**|E| codes count.
+    """
+    pairs = list(combinations(range(n), 2))
+    even = forests = 0
+    for mask in range(1 << len(pairs)):
+        edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+        cuts = {
+            frozenset(e for e in edges if (colour >> e[0] & 1) != (colour >> e[1] & 1))
+            for colour in range(1 << n)
+        }
+        even += sum(2 ** len(cut) for cut in cuts)
+        if 1 << len(edges) == len(cuts):
+            forests += 3 ** len(edges)
+    return even, forests
+
+
+@pytest.mark.slow
+def test_exhaustive_n5_gamma_omega_search():
+    """Every forest and every even-arc graph on 5 vertices is a gamma/omega hit."""
+    hits = search_cospectral(5, ALPHA_GAMMA, ALPHA_OMEGA)
+    codes = [code for code, _, _ in hits]
+    assert codes == sorted(set(codes))
+    even, forests = _even_arc_and_forest_counts(5)
+    assert sum(r.flags.even_arc_condition for _, _, r in hits) == even
+    assert sum(r.flags.tree for _, _, r in hits) == forests
+    # the arc-parity condition is not necessary: other hits exist
+    assert len(hits) > even
 
 
 class TestSoundnessSmall:

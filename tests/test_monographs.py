@@ -283,8 +283,9 @@ class TestTransfer:
     def test_dc3_gamma_exact_vector(self, dc3):
         lam = 2.0
         flat = np.ones(3, dtype=complex) / math.sqrt(3.0)
-        moved = transfer_eigenvectors(dc3, ALPHA_GAMMA, [EigenPair(lam, flat)])
+        moved, worst = transfer_eigenvectors(dc3, ALPHA_GAMMA, [EigenPair(lam, flat)])
         assert len(moved) == 1
+        assert worst == verify_eigenpair(dc3, ALPHA_GAMMA, moved[0])
         expected = np.array([1.0, GAMMA_VALUE**2, GAMMA_VALUE]) / math.sqrt(3.0)
         got = moved[0].vector
         # compare up to the global phase the solver cannot fix
@@ -294,7 +295,9 @@ class TestTransfer:
 
     def test_full_basis_transfer(self, dc3):
         _, basis = eigen_decomposition(build_hermitian(dc3, ALPHA_ONE))
-        moved = transfer_eigenvectors(dc3, ALPHA_GAMMA, list(basis))
+        moved, worst = transfer_eigenvectors(dc3, ALPHA_GAMMA, list(basis))
+        assert worst == max(verify_eigenpair(dc3, ALPHA_GAMMA, p) for p in moved)
+        assert transfer_eigenvectors(dc3, ALPHA_GAMMA, []) == ([], 0.0)
         for src, dst in zip(basis, moved):
             assert dst.eigenvalue == src.eigenvalue
             assert verify_eigenpair(dc3, ALPHA_GAMMA, dst) <= 1e-8
