@@ -290,6 +290,7 @@ def _cmd_search(args: argparse.Namespace) -> None:
     hits = search_cospectral(
         args.n, a1, a2, mode=args.mode, count=args.count, seed=args.seed, tol=args.tol
     )
+    # printed as the chunks are scanned, so hits show before a long scan ends
     for code, graph, report in hits:
         _emit(
             {

@@ -53,6 +53,7 @@ from .spectra import (
     _Check,
     _eigh_checked,
     _first_failure,
+    _graph_source,
     _matrix_checks,
     build_hermitian,
     char_poly,
@@ -224,7 +225,10 @@ def numeric_cospectral(
         flags.monograph_both,
     )
     if promised and not cospectral:
-        raise NumericalError(_guard_message(max_gap))
+        raise NumericalError(
+            f"structural guard failed on {_graph_source(graph, alpha1, alpha2)}: "
+            f"{_guard_message(max_gap)}"
+        )
     return CospectralReport(alpha1, alpha2, cospectral, max_gap, flags)
 
 
@@ -299,7 +303,7 @@ def search_cospectral(
     count: int | None = None,
     seed: int | None = None,
     tol: float = DEFAULT_TOL,
-) -> list[tuple[int, MixedGraph, CospectralReport]]:
+) -> Iterator[tuple[int, MixedGraph, CospectralReport]]:
     """Find graphs on ``n`` vertices cospectral under the two phases.
 
     ``mode="exhaustive"`` walks every code, for n up to
@@ -308,13 +312,15 @@ def search_cospectral(
     required so runs stay reproducible, and n may go up to
     ``MAX_RANDOM_VERTICES`` (8): at 9 vertices the 4**36 codes overflow the
     sampler's range and a 64-bit code.  Larger n raises ScaleLimitError.
-    Returns the hits as (code, graph, report) triples in increasing code
-    order, each report equal to :func:`numeric_cospectral` on that graph.
+    The arguments are checked at the call; the hits then come as a lazy
+    stream of (code, graph, report) triples in increasing code order, each
+    report equal to :func:`numeric_cospectral` on that graph.
 
-    Codes are scanned in chunks of ``SEARCH_CHUNK`` with every check of
-    :func:`numeric_cospectral` applied to every graph; the first graph that
-    fails one raises NumericalError naming its code, n, both phases and the
-    failing stage.
+    Codes are scanned in chunks of ``SEARCH_CHUNK``, one chunk at a time as
+    the stream is read, with every check of :func:`numeric_cospectral`
+    applied to every graph; the first graph that fails one raises
+    NumericalError, when its chunk is reached, naming its code, n, both
+    phases and the failing stage.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -334,13 +340,16 @@ def search_cospectral(
         codes = sorted(random.Random(seed).sample(range(total), count))
     else:
         raise ValueError(f"unknown search mode: {mode!r}")
-    scan = _ChunkScan(n, alpha1, alpha2, tol)
-    hits = []
+    return _stream_hits(codes, _ChunkScan(n, alpha1, alpha2, tol))
+
+
+def _stream_hits(
+    codes: range | list[int], scan: _ChunkScan
+) -> Iterator[tuple[int, MixedGraph, CospectralReport]]:
     for start in range(0, len(codes), SEARCH_CHUNK):
         chunk = codes[start : start + SEARCH_CHUNK]
         for i, report in scan(np.array(chunk, dtype=np.int64)):
-            hits.append((chunk[i], mixed_graph_from_code(n, chunk[i]), report))
-    return hits
+            yield chunk[i], mixed_graph_from_code(scan.n, chunk[i]), report
 
 
 # the pair code, low vertex to high, of each digit: none, digon, arc up, arc down

@@ -9,6 +9,18 @@ minus #components contributes ``(-1)**r * prod over cycles of
 2*Re(cycle walk value)``, and ``(-1)**k * c_k`` is the sum of the
 contributions.
 
+Packings are enumerated by their lowest free vertex.  Every edge and every
+simple cycle is filed under its lowest vertex, and each cycle's arc balance
+is computed once.  The recursion then decides the vertices in increasing
+order: the lowest vertex not yet decided either stays uncovered or is
+covered by one item of its own bucket that misses every covered vertex.
+Each packing is reached exactly once, and a step looks only at the items
+that could cover its vertex.  The characteristic polynomial needs no
+packing objects: the recursion counts how many packings share each sequence
+of item sizes and cycle balances, which fixes k, r and the sorted balances,
+and every alpha is evaluated from those counts.  ``enumerate_elementary``
+runs the same recursion, so its order within one k is the recursion's.
+
 This is deliberately exponential.  It exists as an independent cross-check
 of the numeric path on desk-sized graphs, so it is guarded at 12 vertices.
 All phase arithmetic is exact for rational alpha; the real part of a phase
@@ -22,7 +34,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, Hashable, NamedTuple
 
 from .errors import InvalidWalkError, ScaleLimitError
 from .graphs import Edge, MixedGraph, Walk, enumerate_simple_cycles, underlying
@@ -74,52 +86,70 @@ def _guard(graph: MixedGraph) -> None:
         )
 
 
-def _packings(graph: MixedGraph) -> tuple[ElementarySubgraph, ...]:
-    """Every packing (including the empty one), in a fixed deterministic order."""
-    items: list[tuple[frozenset[int], tuple[int, ...], object]] = []
+def _packings(
+    graph: MixedGraph, label: Callable[[Edge | Walk, int | None], Hashable]
+) -> dict[tuple[Hashable, ...], int]:
+    """Count the packings by the labels of their items.
+
+    ``label(part, balance)`` labels each item: an edge with balance None, or
+    a simple cycle, as a closed walk, with its arc balance.  The result maps
+    every sequence of item labels, items in order of their lowest vertex,
+    to the number of packings that read it; the empty packing reads the
+    empty sequence.  When the labels tell items apart, every count is 1 and
+    the keys list each packing once, in a fixed order.
+
+    Every item is filed under its lowest vertex, and each cycle's balance is
+    computed once.  The recursion takes the lowest vertex not yet decided:
+    it stays uncovered, or an item of its bucket that misses every covered
+    vertex covers it.  Items of that bucket hold no lower vertex, so each
+    packing is reached along exactly one path, and a step scans only the
+    bucket of its own vertex.
+    """
+    n = graph.n
+    buckets: list[list[tuple[int, Hashable]]] = [[] for _ in range(n)]
     for e in graph.sorted_edges:
-        items.append((frozenset(e.pair), e.pair, e))
-    if graph.n >= 3:
-        for c in enumerate_simple_cycles(underlying(graph), graph.n):
-            items.append((frozenset(c.vertices[:-1]), c.vertices, c))
-    items.sort(key=lambda t: (min(t[0]), len(t[0]), t[1]))
-    masks = [sum(1 << v for v in vs) for vs, _, _ in items]
+        u, v = e.pair
+        buckets[u].append((1 << u | 1 << v, label(e, None)))
+    if n >= 3:
+        for c in enumerate_simple_cycles(underlying(graph), n):
+            mask = sum(1 << v for v in c.vertices[:-1])
+            buckets[c.vertices[0]].append((mask, label(c, arc_balance(graph, c).balance)))
+    counts: defaultdict[tuple[Hashable, ...], int] = defaultdict(int)
 
-    results: list[ElementarySubgraph] = []
-    chosen_edges: list[Edge] = []
-    chosen_cycles: list[Walk] = []
-    covered: list[int] = []
+    def rec(v: int, covered: int, labels: tuple[Hashable, ...]) -> None:
+        while v < n and covered >> v & 1:
+            v += 1
+        if v == n:
+            counts[labels] += 1
+            return
+        rec(v + 1, covered, labels)
+        for mask, item in buckets[v]:
+            if not covered & mask:
+                rec(v + 1, covered | mask, labels + (item,))
 
-    def rec(i: int, used: int) -> None:
-        results.append(
-            ElementarySubgraph(tuple(chosen_edges), tuple(chosen_cycles), frozenset(covered))
-        )
-        for j in range(i, len(items)):
-            if used & masks[j]:
-                continue
-            vs, _, payload = items[j]
-            if isinstance(payload, Edge):
-                chosen_edges.append(payload)
-            else:
-                chosen_cycles.append(payload)
-            covered.extend(vs)
-            rec(j + 1, used | masks[j])
-            del covered[-len(vs) :]
-            if isinstance(payload, Edge):
-                chosen_edges.pop()
-            else:
-                chosen_cycles.pop()
-
-    rec(0, 0)
-    return tuple(results)
+    rec(0, 0, ())
+    return counts
 
 
 def enumerate_elementary(graph: MixedGraph, k: int) -> tuple[ElementarySubgraph, ...]:
-    """All packings covering exactly k vertices (k = 0 gives the empty one)."""
+    """All packings covering exactly k vertices (k = 0 gives the empty one).
+
+    The order is fixed for a given graph; it follows the enumeration by
+    lowest free vertex, not component count.
+    """
     _guard(graph)
     if not 0 <= k <= graph.n:
         raise ValueError(f"k must be between 0 and n={graph.n}")
-    return tuple(s for s in _packings(graph) if len(s.vertex_set) == k)
+    found: list[ElementarySubgraph] = []
+    for parts in _packings(graph, lambda part, _: part):
+        edges = tuple(p for p in parts if isinstance(p, Edge))
+        cycles = tuple(p for p in parts if isinstance(p, Walk))
+        covered = frozenset(v for e in edges for v in e.pair).union(
+            *(c.vertices for c in cycles)
+        )
+        if len(covered) == k:
+            found.append(ElementarySubgraph(edges, cycles, covered))
+    return tuple(found)
 
 
 def subgraph_term(graph: MixedGraph, alpha: Phase, sub: ElementarySubgraph) -> float:
@@ -139,6 +169,11 @@ def subgraph_term(graph: MixedGraph, alpha: Phase, sub: ElementarySubgraph) -> f
     return term
 
 
+def _size_and_balance(part: Edge | Walk, balance: int | None) -> tuple[int, int | None]:
+    """A packing item's vertex count and, for a cycle, its arc balance."""
+    return (2, None) if balance is None else (len(part) - 1, balance)
+
+
 @lru_cache(maxsize=128)
 def _term_profile(
     graph: MixedGraph,
@@ -147,15 +182,17 @@ def _term_profile(
 
     Every cycle value is alpha to the cycle's balance and enters through its
     real part, so the sorted balance tuple is all an alpha needs to evaluate
-    a packing's term.
+    a packing's term.  The enumeration counts packings by the vertex count
+    and balance of each item, which fix k, r and the balances; no packing
+    object is built.
     """
     prof: list[dict[tuple[int, tuple[int, ...]], int]] = [
         defaultdict(int) for _ in range(graph.n + 1)
     ]
-    for sub in _packings(graph):
-        r, _ = sub.rank_data
-        balances = tuple(sorted(arc_balance(graph, c).balance for c in sub.cycles))
-        prof[len(sub.vertex_set)][r, balances] += 1
+    for labels, count in _packings(graph, _size_and_balance).items():
+        k = sum(size for size, _ in labels)
+        cycles = sorted(b for _, b in labels if b is not None)
+        prof[k][k - len(labels), tuple(cycles)] += count
     return tuple(dict(d) for d in prof)
 
 

@@ -46,6 +46,7 @@ from .spectra import (
     EIGEN_RESIDUAL_TOL,
     EigenPair,
     Spectrum,
+    _graph_source,
     build_hermitian,
     eigen_decomposition,
     spectra_equal,
@@ -254,7 +255,8 @@ def _check_partition_edges(
                 ok = ok and (depths[e.v] - depths[e.u]) % 2 == 1
         if not ok:
             raise NumericalError(
-                f"partition edge rule violated at edge ({e.u}, {e.v})"
+                f"partition edge rule failed on {_graph_source(graph, alpha)}: "
+                f"violated at edge ({e.u}, {e.v})"
             )
 
 
@@ -294,6 +296,7 @@ def transfer_eigenvectors(
         resid = verify_eigenpair(graph, alpha, moved)
         if resid > DEFAULT_TOL:
             raise NumericalError(
+                f"transfer residual failed on {_graph_source(graph, alpha)}: "
                 f"transferred pair residual {resid:.3e} exceeds {DEFAULT_TOL:.3e}"
             )
         worst = max(worst, resid)

@@ -57,16 +57,21 @@ RADIUS_SLACK = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
-    """A dense Hermitian matrix with zero diagonal and unit-modulus entries."""
+    """A dense Hermitian matrix with zero diagonal and unit-modulus entries.
+
+    ``source`` names the matrix in error messages; :func:`build_hermitian`
+    names the graph and the alpha it came from.
+    """
 
     n: int
     entries: np.ndarray
+    source: str = "the matrix"
 
     def __post_init__(self) -> None:
         a = np.array(self.entries, dtype=np.complex128)
         if a.shape != (self.n, self.n):
             raise ValueError(f"expected a {self.n}x{self.n} matrix, got shape {a.shape}")
-        _raise_first(_matrix_checks(a[None]), ValueError)
+        _raise_first(_matrix_checks(a[None]), ValueError, self.source)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -92,11 +97,21 @@ def _first_failure(checks: Iterable[_Check]) -> tuple[int, _Check] | None:
     return first
 
 
-def _raise_first(checks: Iterable[_Check], error: type[Exception]) -> None:
+def _raise_first(checks: Iterable[_Check], error: type[Exception], source: str) -> None:
+    """Raise ``error`` for the first failure, naming its stage and ``source``."""
     hit = _first_failure(checks)
     if hit is not None:
         i, check = hit
-        raise error(check.message(i))
+        raise error(f"{check.stage} failed on {source}: {check.message(i)}")
+
+
+def _graph_source(graph: MixedGraph, *alphas: Phase) -> str:
+    """How an error names a graph and the phases it was taken under."""
+    phases = " and ".join(map(str, alphas))
+    return (
+        f"the graph (n={graph.n}, {len(graph.edges)} edges, "
+        f"alpha{'s' if len(alphas) > 1 else ''} {phases})"
+    )
 
 
 def _matrix_checks(a: np.ndarray) -> list[_Check]:
@@ -257,7 +272,7 @@ def build_hermitian(graph: MixedGraph, alpha: Phase) -> HermitianMatrix:
         else:
             a[e.u, e.v] = val
             a[e.v, e.u] = conj
-    return HermitianMatrix(graph.n, a)
+    return HermitianMatrix(graph.n, a, _graph_source(graph, alpha))
 
 
 def eigen_decomposition(matrix: HermitianMatrix) -> tuple[Spectrum, list[EigenPair]]:
@@ -273,7 +288,7 @@ def eigen_decomposition(matrix: HermitianMatrix) -> tuple[Spectrum, list[EigenPa
     if n == 0:
         return Spectrum(()), []
     evals, evecs, check = _eigh_checked(matrix.entries[None])
-    _raise_first([check], NumericalError)
+    _raise_first([check], NumericalError, matrix.source)
     pairs = [EigenPair(evals[0, j], evecs[0, :, j]) for j in range(n - 1, -1, -1)]
     # one source of truth: the spectrum lists exactly the pair eigenvalues,
     # so degenerate eigenvalues agree to the bit across both views
@@ -295,7 +310,7 @@ def char_poly(matrix: HermitianMatrix, spectrum: Spectrum) -> CharPoly:
     if n == 0:
         return CharPoly(())
     real, checks = _char_poly_checked(matrix.entries[None], np.array([spectrum.values]))
-    _raise_first(checks, NumericalError)
+    _raise_first(checks, NumericalError, matrix.source)
     return CharPoly(tuple(real[0]))
 
 

@@ -325,6 +325,27 @@ class TestErrorPaths:
         assert main(argv + ["--mode", "random", "--count", "5", "--seed", "1"]) == 2
         assert "capped at 8 vertices" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, alpha",
+        [
+            (["spectrum", "--alpha", "gamma"], "alpha root:1/3"),
+            (["charpoly", "--alpha", "angle:0.7"], "alpha angle:0.7"),
+            (["cospectral", "--alpha", "i", "--alpha", "gamma"], "alpha root:1/4"),
+        ],
+    )
+    def test_numerical_error_names_the_graph(
+        self, capsys, monkeypatch, dc3_file, argv, alpha
+    ):
+        # a negative budget fails the residue check of every polynomial
+        monkeypatch.setattr("hermix.spectra.COEFF_TOL", -1.0)
+        assert main(argv + [dc3_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: char-poly residue failed on the graph (n=3, 3 edges, {alpha}): "
+        )
+
+
 
 def test_module_entry_point(tmp_path, k4x):
     path = tmp_path / "k4x.mg"

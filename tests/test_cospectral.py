@@ -27,6 +27,7 @@ from hermix import (
     search_cospectral,
     underlying,
 )
+from hermix import cospectral
 from hermix.cospectral import SEARCH_CHUNK
 from hermix.spectra import DEFAULT_TOL
 
@@ -129,8 +130,12 @@ class TestNumericCospectral:
         g = MixedGraph.from_edges(3, [(0, 2)], [(0, 1), (1, 2)])
         flags = numeric_cospectral(g, ALPHA_GAMMA, ALPHA_I).flags
         assert flags.even_arc_condition and not flags.tree and not flags.monograph_both
-        with pytest.raises(NumericalError, match="promises cospectrality"):
+        with pytest.raises(NumericalError, match="promises cospectrality") as err:
             numeric_cospectral(g, ALPHA_GAMMA, ALPHA_OMEGA, tol=-1.0)
+        assert str(err.value).startswith(
+            "structural guard failed on the graph "
+            "(n=3, 3 edges, alphas root:1/3 and root:1/6): "
+        )
         assert not numeric_cospectral(g, ALPHA_GAMMA, ALPHA_I, tol=-1.0).cospectral
 
     def test_max_gap_small_when_cospectral(self, ac4):
@@ -167,7 +172,7 @@ class TestEnumeration:
 
 class TestSearch:
     def test_exhaustive_n3_hits_are_cospectral(self):
-        hits = search_cospectral(3, ALPHA_GAMMA, ALPHA_OMEGA)
+        hits = list(search_cospectral(3, ALPHA_GAMMA, ALPHA_OMEGA))
         assert hits
         for code, graph, report in hits:
             assert report.cospectral
@@ -185,11 +190,11 @@ class TestSearch:
                 assert code in hits
 
     def test_random_mode_reproducible(self):
-        a = search_cospectral(
-            4, ALPHA_GAMMA, ALPHA_OMEGA, mode="random", count=300, seed=5
+        a = list(
+            search_cospectral(4, ALPHA_GAMMA, ALPHA_OMEGA, mode="random", count=300, seed=5)
         )
-        b = search_cospectral(
-            4, ALPHA_GAMMA, ALPHA_OMEGA, mode="random", count=300, seed=5
+        b = list(
+            search_cospectral(4, ALPHA_GAMMA, ALPHA_OMEGA, mode="random", count=300, seed=5)
         )
         assert [c for c, _, _ in a] == [c for c, _, _ in b]
         assert a
@@ -212,7 +217,7 @@ class TestSearch:
 
     def test_random_guard(self):
         # 4**36 codes at n = 9 overflow the sampler's range and a 64-bit code
-        search_cospectral(8, ALPHA_I, ALPHA_GAMMA, mode="random", count=3, seed=1)
+        list(search_cospectral(8, ALPHA_I, ALPHA_GAMMA, mode="random", count=3, seed=1))
         with pytest.raises(ScaleLimitError):
             search_cospectral(9, ALPHA_I, ALPHA_GAMMA, mode="random", count=3, seed=1)
 
@@ -223,11 +228,27 @@ class TestSearch:
     def test_guard_failure_names_the_graph(self):
         # every forest is promised cospectral, and no gap is within tol -1
         with pytest.raises(NumericalError) as err:
-            search_cospectral(3, ALPHA_GAMMA, ALPHA_OMEGA, tol=-1.0)
+            list(search_cospectral(3, ALPHA_GAMMA, ALPHA_OMEGA, tol=-1.0))
         message = str(err.value)
         assert "guard" in message
         assert "code 0 " in message
         assert "n=3" in message and "root:1/3" in message and "root:1/6" in message
+
+    def test_first_hit_scans_only_the_first_chunk(self, monkeypatch):
+        scanned = []
+        scan = cospectral._ChunkScan.__call__
+
+        def counting(self, codes):
+            scanned.append(len(codes))
+            return scan(self, codes)
+
+        monkeypatch.setattr(cospectral._ChunkScan, "__call__", counting)
+        assert 4**6 > SEARCH_CHUNK
+        hits = search_cospectral(4, ALPHA_GAMMA, ALPHA_OMEGA)
+        assert scanned == []
+        code, _, _ = next(hits)
+        assert code == 0
+        assert scanned == [SEARCH_CHUNK]
 
 
 BATCH_PAIRS = [
@@ -263,7 +284,7 @@ class TestBatchedSearch:
         a1, a2, reports = per_graph
         scanned = {}
         for n in range(5):
-            hits = search_cospectral(n, a1, a2, tol=math.inf)
+            hits = list(search_cospectral(n, a1, a2, tol=math.inf))
             assert len(hits) == 4 ** (n * (n - 1) // 2)
             scanned.update(((n, code), report) for code, _, report in hits)
         for code, _, report in search_cospectral(5, a1, a2, tol=math.inf, **N5_SAMPLE):
@@ -279,7 +300,7 @@ class TestBatchedSearch:
     def test_hits_match_the_per_graph_loop(self, per_graph):
         a1, a2, reports = per_graph
         assert 4**6 > SEARCH_CHUNK
-        hits = search_cospectral(4, a1, a2)
+        hits = list(search_cospectral(4, a1, a2))
         expected = [code for (n, code), r in reports.items() if n == 4 and r.cospectral]
         assert [code for code, _, _ in hits] == expected
         assert expected == sorted(expected)
@@ -315,7 +336,7 @@ def _even_arc_and_forest_counts(n: int) -> tuple[int, int]:
 @pytest.mark.slow
 def test_exhaustive_n5_gamma_omega_search():
     """Every forest and every even-arc graph on 5 vertices is a gamma/omega hit."""
-    hits = search_cospectral(5, ALPHA_GAMMA, ALPHA_OMEGA)
+    hits = list(search_cospectral(5, ALPHA_GAMMA, ALPHA_OMEGA))
     codes = [code for code, _, _ in hits]
     assert codes == sorted(set(codes))
     even, forests = _even_arc_and_forest_counts(5)

@@ -14,6 +14,7 @@ from hermix import (
     ALPHA_I,
     ALPHA_OMEGA,
     ALPHA_ONE,
+    Edge,
     EdgeKind,
     ElementarySubgraph,
     MixedGraph,
@@ -27,7 +28,12 @@ from hermix import (
     underlying,
 )
 
-from conftest import complete_mixed, numeric_char_poly, random_mixed_graph
+from conftest import (
+    complete_mixed,
+    numeric_char_poly,
+    random_mixed_graph,
+    random_mixed_tree,
+)
 
 ALPHAS = (ALPHA_I, ALPHA_GAMMA, ALPHA_OMEGA, make_alpha("root:1/5"), make_alpha("angle:1.0"))
 
@@ -83,31 +89,38 @@ class TestEnumerateElementary:
 
     def test_matches_edge_subset_brute_force(self):
         rng = random.Random(29)
-        for _ in range(10):
-            g = random_mixed_graph(rng, rng.randrange(1, 6), edge_prob=0.7)
+        graphs = [
+            random_mixed_graph(rng, rng.randrange(1, 6), edge_prob=0.7) for _ in range(10)
+        ]
+        # dense graphs, where most items of a bucket collide with a packing
+        graphs += [complete_mixed(6, rng), random_mixed_graph(rng, 7, edge_prob=0.8)]
+        for g in graphs:
+            expected = _count_elementary_by_edges(g)
             for k in range(g.n + 1):
                 got = enumerate_elementary(g, k)
-                assert len(got) == _count_elementary_by_edges(g, k)
+                assert len(got) == expected[k]
+                assert all(len(s.vertex_set) == k for s in got)
+                assert len(set(got)) == len(got)
 
 
-def _count_elementary_by_edges(g: MixedGraph, k: int) -> int:
-    """Independent count: edge subsets whose components are P2 or cycles."""
+def _count_elementary_by_edges(g: MixedGraph) -> list[int]:
+    """Independent count per covered vertex count k: edge subsets whose
+    components are P2 or cycles.  Every vertex of such a subset has degree 1
+    or 2, so it has at most n edges."""
     edges = [e.pair for e in g.sorted_edges]
-    count = 0
-    for r in range(len(edges) + 1):
+    counts = [0] * (g.n + 1)
+    for r in range(min(len(edges), g.n) + 1):
         for subset in itertools.combinations(edges, r):
             degree: dict[int, int] = {}
             for u, v in subset:
                 degree[u] = degree.get(u, 0) + 1
                 degree[v] = degree.get(v, 0) + 1
-            if len(degree) != k:
-                continue
             if subset and not all(d in (1, 2) for d in degree.values()):
                 continue
             if not _components_are_elementary(subset):
                 continue
-            count += 1
-    return count
+            counts[len(degree)] += 1
+    return counts
 
 
 def _components_are_elementary(subset: tuple[tuple[int, int], ...]) -> bool:
@@ -136,6 +149,17 @@ def _components_are_elementary(subset: tuple[tuple[int, int], ...]) -> bool:
             continue
         return False
     return True
+
+
+def _connected_with_cycles(rng: random.Random, n: int, cycles: int) -> MixedGraph:
+    """A random mixed spanning tree plus ``cycles`` extra random edges."""
+    tree = random_mixed_tree(rng, n)
+    taken = {e.pair for e in tree.edges}
+    free = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in taken]
+    extra = []
+    for u, v in rng.sample(free, cycles):
+        extra.append(rng.choice([Edge.digon(u, v), Edge.arc(u, v), Edge.arc(v, u)]))
+    return MixedGraph(n, tree.edges | frozenset(extra))
 
 
 class TestSubgraphTerm:
@@ -205,6 +229,20 @@ class TestCharPolyExpansion:
                 det = math.prod(spec.values)
                 constant = poly.coefficients[-1]
                 assert math.isclose((-1.0) ** g.n * constant, det, abs_tol=1e-7)
+
+    @pytest.mark.parametrize("n, cycles", [(9, 11), (10, 12)])
+    def test_agrees_with_trace_recursion_on_dense_graphs(self, n, cycles):
+        # as dense as the oracle inputs of the desk benchmark: thousands of
+        # packings over few cover sets
+        rng = random.Random(83 + n)
+        for _ in range(2):
+            g = _connected_with_cycles(rng, n, cycles)
+            assert len(g.edges) - n + 1 == cycles
+            for alpha in (make_alpha("root:2/5"), make_alpha("angle:0.7")):
+                combinatorial = char_poly_expansion(g, alpha).coefficients
+                numeric = numeric_char_poly(g, alpha).coefficients
+                gap = max(abs(a - b) for a, b in zip(combinatorial, numeric))
+                assert gap <= 1e-8
 
     def test_underlying_alpha_one(self):
         rng = random.Random(73)
