@@ -6,6 +6,8 @@ stdout.  ``search-cospectral`` is the exception: it takes no graph file and
 streams one JSON object per hit.
 
 Exit codes: 0 success, 2 bad input of any sort, 1 a numerical check failed.
+A reader that closes stdout early (``| head``) ends the output quietly, with
+exit code 0.
 Floats are printed with 12 significant digits.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Any, Sequence
 
@@ -49,14 +52,26 @@ from .spectra import (
 __all__ = ["main"]
 
 
+_FORMAT_12G = "{:.12g}".format
+
+
 def _round_floats(obj: Any) -> Any:
-    """12 significant digits, applied recursively; bools stay bools."""
+    """12 significant digits, applied recursively; bools stay bools.
+
+    The payload's own types are matched exactly first; the ``isinstance``
+    checks after them serve bools, numpy floats and tuples.
+    """
+    kind = type(obj)
+    if kind is float:
+        return float(_FORMAT_12G(obj))
+    if kind is dict:
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if kind is list:
+        return [_round_floats(v) for v in obj]
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        return float(_FORMAT_12G(obj))
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
     return obj
@@ -81,7 +96,8 @@ def _edges_json(graph: MixedGraph) -> list[list[Any]]:
 
 
 def _vector_json(vec: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in vec]
+    """[re, im] per entry, as plain floats for the emitter to round."""
+    return np.column_stack((vec.real, vec.imag)).tolist()
 
 
 def _spectra_payload(graph: MixedGraph, alpha: Phase, oracle: bool) -> dict[str, Any]:
@@ -413,6 +429,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         args.func(args)
+        # a reader that is gone shows here, not in the interpreter's exit flush
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early (``| head``): that ends the output, not an
+        # error.  Point it at devnull so the final flush of what is still
+        # buffered stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -143,3 +143,18 @@ def random_connected_mixed_graph(
             else:
                 arcs.append((v, u))
     return MixedGraph.from_edges(n, digons, arcs)
+
+
+def reference_pair_residual(graph: MixedGraph, alpha: Phase, value: float, x) -> float:
+    """The vertex summation rule checked one vertex at a time, in plain Python
+    sums over the graph's neighbor lists: the reference the library's
+    batched residual pass is compared against."""
+    a = alpha.value
+    ac = a.conjugate()
+    worst = 0.0
+    for u in range(graph.n):
+        rhs = sum(x[v] for v in graph.digon_neighbors(u))
+        rhs += a * sum(x[v] for v in graph.out_neighbors(u))
+        rhs += ac * sum(x[v] for v in graph.in_neighbors(u))
+        worst = max(worst, abs(value * x[u] - rhs))
+    return float(worst)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -9,18 +10,20 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hermix import (
     ALPHA_GAMMA,
     ALPHA_ONE,
+    MixedGraph,
     build_hermitian,
     eigen_decomposition,
     serialize_graph,
     transfer_eigenvectors,
     verify_eigenpair,
 )
-from hermix.cli import main
+from hermix.cli import _round_floats, main
 
 from conftest import complete_mixed
 
@@ -166,6 +169,74 @@ class TestTransfer:
         basis_path = tmp_path / "basis.json"
         basis_path.write_text("not json")
         assert main(["transfer", "--alpha", "gamma", "--basis", str(basis_path), dc3_file]) == 2
+
+
+def gamma_monograph(seed: int, n: int) -> MixedGraph:
+    """A connected first-kind monograph for gamma with 2n edges: every vertex
+    gets a level mod 3, a digon joins equal levels and an arc runs from
+    level l to level l + 1, so every cycle has arc balance 0 mod 3."""
+    rng = random.Random(seed)
+    level = [rng.randrange(3) for _ in range(n)]
+    digons: list[tuple[int, int]] = []
+    arcs: list[tuple[int, int]] = []
+    taken: set[tuple[int, int]] = set()
+
+    def link(u: int, v: int) -> None:
+        taken.add((min(u, v), max(u, v)))
+        step = (level[v] - level[u]) % 3
+        if step == 0:
+            digons.append((u, v))
+        else:
+            arcs.append((u, v) if step == 1 else (v, u))
+
+    for v in range(1, n):
+        link(rng.randrange(v), v)
+    while len(taken) < 2 * n:
+        u, v = rng.sample(range(n), 2)
+        if (min(u, v), max(u, v)) not in taken:
+            link(u, v)
+    return MixedGraph.from_edges(n, digons, arcs)
+
+
+class TestEmitter:
+    """Floats print as ``float(f"{x:.12g}")``, and transfer output is pinned
+    byte for byte.  The pins come from numpy's LAPACK on x86-64: the basis of
+    a repeated eigenvalue, and the last digits of ``max_residual``, may
+    differ on another LAPACK build."""
+
+    def test_round_floats(self):
+        xs = [-0.0, 1e-300, 5e-324, 0.1 + 0.2, np.float64(1 / 3)]
+        got = _round_floats({"xs": xs, "nested": (1 / 7, (2 / 3, [True, False, 3]))})
+        assert got["xs"] == [float(f"{x:.12g}") for x in xs]
+        assert all(type(v) is float for v in got["xs"])
+        assert math.copysign(1.0, got["xs"][0]) == -1.0
+        assert got["xs"][2] == 5e-324
+        assert got["nested"] == [float(f"{1 / 7:.12g}"), [float(f"{2 / 3:.12g}"), [True, False, 3]]]
+        assert [type(v) for v in got["nested"][1][1]] == [bool, bool, int]
+
+    def test_transfer_dc3_gamma_pinned(self, capsys, dc3_file):
+        assert main(["transfer", "--alpha", "gamma", dc3_file]) == 0
+        assert capsys.readouterr().out == (
+            '{"alpha": "root:1/3", "pairs": ['
+            '{"lambda": 2.0, "vector": [[-0.57735026919, 0.0], '
+            '[0.288675134595, 0.5], [0.288675134595, -0.5]]}, '
+            '{"lambda": -1.0, "vector": [[0.422503311877, 0.0], '
+            '[0.40816434353, 0.706961380831], [-0.196912687591, 0.341062779563]]}, '
+            '{"lambda": -1.0, "vector": [[0.698682773596, 0.0], '
+            '[-0.00827860723526, -0.0143389683474], [0.357619994033, -0.619415999468]]}], '
+            '"max_residual": 3.14018491737e-16}\n'
+        )
+
+    def test_transfer_monograph_n40_pinned(self, capsys, tmp_path):
+        path = tmp_path / "m40.mg"
+        path.write_text(serialize_graph(gamma_monograph(40, 40)))
+        assert main(["transfer", "--alpha", "gamma", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith('.0514066408156, 0.0]]}], "max_residual": 2.58946281966e-15}\n')
+        assert len(out) == 54213
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f35fdff8d174163bbe190358585c9848d59c5887b37f08b6e1a9db18ece0f6e4"
+        )
 
 
 class TestExtend:
@@ -345,6 +416,22 @@ class TestErrorPaths:
             f"error: char-poly residue failed on the graph (n=3, 3 edges, {alpha}): "
         )
 
+
+
+def test_closed_stdout_ends_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hermix", "search-cospectral", "--n", "4",
+         "--alpha", "gamma", "--alpha", "omega"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout is not None and proc.stderr is not None
+    # about 480 kB follow this line, far more than a pipe buffers
+    assert json.loads(proc.stdout.readline())["n"] == 4
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 0
+    assert err == b""
 
 
 def test_module_entry_point(tmp_path, k4x):

@@ -40,7 +40,7 @@ from hermix import (
     walk_value_h,
 )
 
-from conftest import random_connected_mixed_graph
+from conftest import random_connected_mixed_graph, reference_pair_residual
 
 FIRST = MonographKind.FIRST
 SECOND = MonographKind.SECOND
@@ -314,6 +314,27 @@ class TestTransfer:
         fake = EigenPair(2.0, np.array([1.0, 0.0, 0.0], dtype=complex))
         with pytest.raises(ValueError, match="fails verification"):
             transfer_eigenvectors(uc3, ALPHA_ONE, [fake])
+
+    def test_names_the_first_failing_pair(self, uc3):
+        _, basis = eigen_decomposition(build_hermitian(uc3, ALPHA_ONE))
+        fakes = [EigenPair(lam, np.array([1.0, 0.0, 0.0], dtype=complex)) for lam in (3.0, 5.0)]
+        short = EigenPair(2.0, np.ones(2, dtype=complex))
+        first = reference_pair_residual(uc3, ALPHA_ONE, 3.0, fakes[0].vector)
+        message = f"eigenvalue 3 fails verification against the underlying graph (residual {first:.3e})"
+        for order in (
+            [basis[0], fakes[0], basis[1], fakes[1]],
+            [basis[0], fakes[0], short, fakes[1]],
+        ):
+            with pytest.raises(ValueError) as err:
+                transfer_eigenvectors(uc3, ALPHA_GAMMA, order)
+            assert message in str(err.value)
+        with pytest.raises(ValueError, match=r"^vector length 2 does not match n=3$"):
+            transfer_eigenvectors(uc3, ALPHA_GAMMA, [basis[0], short, fakes[0]])
+
+    def test_rejects_nan_pair(self, uc3):
+        pair = EigenPair(math.nan, np.ones(3, dtype=complex))
+        with pytest.raises(ValueError, match="residual nan"):
+            transfer_eigenvectors(uc3, ALPHA_ONE, [pair])
 
 
 class TestNegatedSpectrum:

@@ -25,8 +25,9 @@ from hermix import (
     spectral_radius,
     verify_eigenpair,
 )
+from hermix.spectra import _pair_residuals
 
-from conftest import numeric_char_poly, random_mixed_graph
+from conftest import numeric_char_poly, random_mixed_graph, reference_pair_residual
 
 ALPHAS = (ALPHA_I, ALPHA_GAMMA, make_alpha("root:1/5"), make_alpha("angle:1.0"))
 
@@ -153,6 +154,55 @@ class TestVerifyEigenpair:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             EigenPair(1.0, np.zeros(3, dtype=complex))
+
+    def test_nan_is_not_a_zero_residual(self, uc3):
+        pair = EigenPair(math.nan, np.ones(3, dtype=complex))
+        assert math.isnan(verify_eigenpair(uc3, ALPHA_ONE, pair))
+
+
+def _residual_graphs() -> dict[str, MixedGraph]:
+    rng = random.Random(61)
+    pairs = [(u, v) for u in range(7) for v in range(u + 1, 7) if rng.random() < 0.5]
+    return {
+        "n0": MixedGraph.from_edges(0),
+        "n1": MixedGraph.from_edges(1),
+        "isolated": MixedGraph.from_edges(5, [(0, 1), (1, 3)], [(3, 2), (0, 3)]),
+        "digons": MixedGraph.from_edges(7, pairs, []),
+        "arcs": MixedGraph.from_edges(
+            7, [], [(u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs]
+        ),
+        "mixed30": random_mixed_graph(rng, 30, 0.3),
+    }
+
+
+RESIDUAL_GRAPHS = _residual_graphs()
+
+
+class TestPairResiduals:
+    """The batched residual pass against the per-vertex Python reference."""
+
+    @pytest.mark.parametrize("spec", ["1", "gamma", "root:3/7", "angle:2.1"])
+    @pytest.mark.parametrize("name", list(RESIDUAL_GRAPHS))
+    def test_matches_reference(self, name, spec):
+        g, alpha = RESIDUAL_GRAPHS[name], make_alpha(spec)
+        rng = np.random.default_rng(7)
+        _, pairs = eigen_decomposition(build_hermitian(g, alpha))
+        # true eigenpairs (residuals near 0) and random ones (residuals of order 1)
+        values = np.array([p.eigenvalue for p in pairs] + list(rng.standard_normal(3)))
+        noise = [rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n) for _ in range(3)]
+        vectors = np.column_stack([p.vector for p in pairs] + noise)
+        got = _pair_residuals(g, alpha, values, vectors)
+        assert got.shape == values.shape
+        for j, value in enumerate(values):
+            want = reference_pair_residual(g, alpha, float(value), vectors[:, j])
+            assert abs(got[j] - want) <= 1e-15 * max(1.0, want)
+
+    def test_single_pair_is_the_stack_of_one(self):
+        g, alpha = RESIDUAL_GRAPHS["mixed30"], make_alpha("root:3/7")
+        _, pairs = eigen_decomposition(build_hermitian(g, alpha))
+        values = np.array([p.eigenvalue for p in pairs])
+        batch = _pair_residuals(g, alpha, values, np.column_stack([p.vector for p in pairs]))
+        assert list(batch) == [verify_eigenpair(g, alpha, p) for p in pairs]
 
 
 class TestCharPoly:
