@@ -168,26 +168,36 @@ def _cmd_partition(args: argparse.Namespace) -> None:
 
 def _parse_basis(text: str, n: int) -> list[EigenPair]:
     try:
-        data = json.loads(text)
+        # every JSON number becomes a float, so one type check finds the rest
+        data = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise ValueError(f"basis is not valid JSON: {exc}") from None
     if not isinstance(data, list):
         raise ValueError("basis must be a JSON array of {lambda, vector}")
     pairs = []
-    for item in data:
+    for k, item in enumerate(data):
         if not isinstance(item, dict) or "lambda" not in item or "vector" not in item:
             raise ValueError("each basis entry needs 'lambda' and 'vector'")
-        raw = item["vector"]
+        lam, raw = item["lambda"], item["vector"]
+        if not isinstance(lam, float):
+            raise ValueError(f"basis entry {k}: lambda is not a number: {json.dumps(lam)}")
+        if not isinstance(raw, list):
+            raise ValueError(f"basis entry {k}: vector is not an array: {json.dumps(raw)}")
         if len(raw) != n:
             raise ValueError(f"vector length {len(raw)} does not match n={n}")
         vec = np.empty(n, dtype=np.complex128)
         for i, entry in enumerate(raw):
-            if isinstance(entry, (int, float)):
-                vec[i] = complex(entry, 0.0)
-            else:
-                re_part, im_part = entry
-                vec[i] = complex(float(re_part), float(im_part))
-        pairs.append(EigenPair(float(item["lambda"]), vec))
+            re_im = entry if isinstance(entry, list) and len(entry) == 2 else [entry, 0.0]
+            if not all(isinstance(x, float) for x in re_im):
+                raise ValueError(
+                    f"basis entry {k}: vector entry {i} is neither a number nor a "
+                    f"[re, im] pair of numbers: {json.dumps(entry)}"
+                )
+            vec[i] = complex(*re_im)
+        try:
+            pairs.append(EigenPair(lam, vec))
+        except ValueError as exc:
+            raise ValueError(f"basis entry {k}: {exc}") from None
     return pairs
 
 

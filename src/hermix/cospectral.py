@@ -44,7 +44,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .errors import NumericalError, ScaleLimitError
-from .graphs import Edge, EdgeKind, MixedGraph, underlying
+from .graphs import Edge, EdgeKind, MixedGraph
 from .monographs import MonographKind, _is_trivial, is_monograph
 from .phases import Phase
 from .spectra import (
@@ -122,40 +122,24 @@ def even_arc_condition(graph: MixedGraph) -> bool:
     """Every cycle crosses an even number of arcs.
 
     Arc parity of a cycle is linear over GF(2) in the fundamental basis, so
-    checking the basis cycles settles all cycles at once.  Traversal
-    direction never changes the count.
+    checking the basis cycles settles all cycles at once.  A cycle's arc
+    count and its arc balance (forward minus backward arcs) differ by twice
+    the backward arcs, so the balances the spanning forest records decide
+    it: every fundamental cycle balance must be even.
     """
-    for walk in graph.cycle_basis.cycles:
-        arcs = sum(
-            1
-            for a, b in walk.steps()
-            if graph.pair_code(a, b) in (1, -1)
-        )
-        if arcs % 2:
-            return False
-    return True
+    return all(bal % 2 == 0 for bal in graph.cycle_basis.cycle_balances)
 
 
 def oriented_bipartite(graph: MixedGraph) -> bool:
-    """No digons and the underlying graph is 2-colorable."""
+    """No digons and the underlying graph is bipartite.
+
+    Cycle length parity is linear over GF(2) in the fundamental basis too,
+    and a graph is bipartite exactly when it has no odd cycle, so every
+    fundamental cycle must have an even number of edges.
+    """
     if any(e.kind is EdgeKind.DIGON for e in graph.edges):
         return False
-    skeleton = underlying(graph)
-    color = [-1] * graph.n
-    for s in range(graph.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = [s]
-        while queue:
-            x = queue.pop()
-            for y in skeleton.neighbors(x):
-                if color[y] == -1:
-                    color[y] = color[x] ^ 1
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    return False
-    return True
+    return all(w.edge_count % 2 == 0 for w in graph.cycle_basis.cycles)
 
 
 def _is_tree_like(graph: MixedGraph) -> bool:

@@ -247,8 +247,15 @@ class FundamentalCycleBasis:
     Component roots are the smallest vertex ids.  Each cycle starts at the
     deepest common tree ancestor of its non-tree edge, runs down the tree to
     one endpoint, crosses the non-tree edge, and climbs back.  ``parents``,
-    ``roots`` and ``depths`` describe the forest per vertex (parent is None
-    at roots).
+    ``roots``, ``depths`` and ``balances`` describe the forest per vertex
+    (parent is None at roots): the tree path from the component root to a
+    vertex has ``depths[v]`` edges and arc balance ``balances[v]``, the
+    forward minus the backward arcs along it.
+
+    ``cycle_balances[i]`` is the arc balance of ``cycles[i]``.  The two tree
+    paths cancel up to the branch point, so across its non-tree edge
+    ``u -> v`` the cycle's balance is
+    ``balances[u] + pair_code(u, v) - balances[v]``.
     """
 
     tree_edges: frozenset[Edge]
@@ -256,6 +263,8 @@ class FundamentalCycleBasis:
     parents: tuple[int | None, ...]
     roots: tuple[int, ...]
     depths: tuple[int, ...]
+    balances: tuple[int, ...]
+    cycle_balances: tuple[int, ...]
 
 
 _EDGE_RE = re.compile(r"^(\d+)\s*(--|->)\s*(\d+)$")
@@ -327,24 +336,13 @@ def degree_profile(graph: MixedGraph) -> DegreeProfile:
 
 def connected_components(graph: MixedGraph) -> tuple[tuple[int, ...], ...]:
     """Vertex sets of the components of the underlying graph, ordered by
-    smallest member; each component tuple is ascending."""
-    seen = [False] * graph.n
-    comps: list[tuple[int, ...]] = []
-    for s in range(graph.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        queue = deque([s])
-        comp = [s]
-        while queue:
-            x = queue.popleft()
-            for y in graph.neighbors(x):
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    queue.append(y)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+    smallest member; each component tuple is ascending.  They are read off
+    the roots of the graph's spanning forest, which are those smallest
+    members."""
+    comps: dict[int, list[int]] = {}
+    for v, r in enumerate(graph.cycle_basis.roots):
+        comps.setdefault(r, []).append(v)
+    return tuple(map(tuple, comps.values()))
 
 
 def fundamental_cycles(graph: MixedGraph) -> FundamentalCycleBasis:
@@ -358,6 +356,8 @@ def fundamental_cycles(graph: MixedGraph) -> FundamentalCycleBasis:
     parents: list[int | None] = [None] * graph.n
     roots = [-1] * graph.n
     depths = [0] * graph.n
+    balances = [0] * graph.n
+    codes = graph._codes
     tree_pairs: set[tuple[int, int]] = set()
     for r in range(graph.n):
         if roots[r] != -1:
@@ -371,14 +371,15 @@ def fundamental_cycles(graph: MixedGraph) -> FundamentalCycleBasis:
                     roots[y] = r
                     parents[y] = x
                     depths[y] = depths[x] + 1
+                    balances[y] = balances[x] + codes[x, y]
                     tree_pairs.add((min(x, y), max(x, y)))
                     queue.append(y)
     tree_edges = frozenset(e for e in graph.edges if e.pair in tree_pairs)
     non_tree = [e for e in graph.sorted_edges if e.pair not in tree_pairs]
     cycles = tuple(_fundamental_walk(e, parents, depths) for e in non_tree)
-    return FundamentalCycleBasis(
-        tree_edges, cycles, tuple(parents), tuple(roots), tuple(depths)
-    )
+    cycle_balances = tuple(balances[e.u] + codes[e.u, e.v] - balances[e.v] for e in non_tree)
+    forest = (tuple(parents), tuple(roots), tuple(depths), tuple(balances))
+    return FundamentalCycleBasis(tree_edges, cycles, *forest, cycle_balances)
 
 
 def _fundamental_walk(edge: Edge, parents: list[int | None], depths: list[int]) -> Walk:

@@ -7,12 +7,14 @@ is trivial the graph is called a monograph here: of the first kind when the
 plain walk value of every cycle is 1, of the second kind when the signed
 walk value (an extra -1 per edge) of every cycle is 1.
 
-Both kinds admit a vertex potential built along a spanning forest: starting
-from 1 at each component root, a digon keeps the potential (first kind) or
-flips its sign (second kind), and a forward arc multiplies by alpha (first
-kind) or by -alpha (second kind).  Detection only needs the fundamental
-cycles: every cycle value is a product of fundamental ones, so checking the
-basis settles the whole graph.
+Both kinds admit a vertex potential, a gauge built along a spanning forest:
+starting from 1 at each component root, a digon keeps the potential (first
+kind) or flips its sign (second kind), and a forward arc multiplies by alpha
+(first kind) or by -alpha (second kind), so a vertex's potential is the
+value of its tree path.  Every cycle value is a product of fundamental ones,
+so checking the basis settles the whole graph.  :attr:`MixedGraph.cycle_basis`
+records the arc balance and length of every tree path and the balance of
+every fundamental cycle, and detection reads them all off the forest.
 
 Angle-built alphas are treated as having infinite order, so for them a cycle
 value is trivial only when its arc balance is 0 (and its length even, for
@@ -35,13 +37,12 @@ from .errors import NotMonographError, NumericalError
 from .graphs import (
     Edge,
     EdgeKind,
-    FundamentalCycleBasis,
     MixedGraph,
     Walk,
     connected_components,
     degree_profile,
 )
-from .phases import ALPHA_ONE, Phase, arc_balance
+from .phases import ALPHA_ONE, Phase
 from .spectra import (
     DEFAULT_TOL,
     EIGEN_RESIDUAL_TOL,
@@ -78,13 +79,6 @@ class MonographKind(Enum):
     SECOND = 2
 
 
-def _cycle_data(graph: MixedGraph, basis: FundamentalCycleBasis) -> list[tuple[Walk, int, int]]:
-    return [
-        (walk, *arc_balance(graph, walk))
-        for walk in basis.cycles
-    ]
-
-
 def _value(alpha: Phase, kind: MonographKind, balance: int, edges: int) -> Phase:
     return alpha.walk_value(balance, edges, signed=kind is MonographKind.SECOND)
 
@@ -92,26 +86,6 @@ def _value(alpha: Phase, kind: MonographKind, balance: int, edges: int) -> Phase
 def _is_trivial(alpha: Phase, kind: MonographKind, balance: int, edges: int) -> bool:
     # an angle has infinite order, so only a zero balance can cancel it
     return (alpha.is_exact or balance == 0) and _value(alpha, kind, balance, edges).is_identity()
-
-
-def _tree_gauge(graph: MixedGraph, basis: FundamentalCycleBasis) -> tuple[list[int], list[int]]:
-    """Arc balance and edge count of the tree path from each component root."""
-    children: list[list[int]] = [[] for _ in range(graph.n)]
-    for v, p in enumerate(basis.parents):
-        if p is not None:
-            children[p].append(v)
-    balances = [0] * graph.n
-    depths = [0] * graph.n
-    stack = [v for v, p in enumerate(basis.parents) if p is None]
-    while stack:
-        x = stack.pop()
-        for c in children[x]:
-            code = graph.pair_code(x, c)
-            assert code is not None
-            balances[c] = balances[x] + code
-            depths[c] = depths[x] + 1
-            stack.append(c)
-    return balances, depths
 
 
 @dataclass(frozen=True)
@@ -138,8 +112,9 @@ def compute_store(graph: MixedGraph, alpha: Phase, kind: MonographKind) -> Store
     """
     if graph.n == 0 or len(connected_components(graph)) != 1:
         raise ValueError("compute_store requires a connected graph")
-    data = _cycle_data(graph, graph.cycle_basis)
-    phases = tuple(_value(alpha, kind, bal, edges) for _, bal, edges in data)
+    basis = graph.cycle_basis
+    data = [(bal, w.edge_count) for w, bal in zip(basis.cycles, basis.cycle_balances)]
+    phases = tuple(_value(alpha, kind, bal, edges) for bal, edges in data)
     if alpha.is_exact:
         rots = [p.rotation for p in phases]
         denom = math.lcm(*(r.denominator for r in rots)) if rots else 1
@@ -147,9 +122,7 @@ def compute_store(graph: MixedGraph, alpha: Phase, kind: MonographKind) -> Store
         g = math.gcd(denom, *nums)
         size = denom // g
         return StoreDescriptor(kind, phases, Fraction(g, denom), size)
-    trivial = all(
-        _is_trivial(alpha, kind, bal, edges) for _, bal, edges in data
-    )
+    trivial = all(_is_trivial(alpha, kind, bal, edges) for bal, edges in data)
     return StoreDescriptor(kind, phases, None, 1 if trivial else None)
 
 
@@ -171,26 +144,20 @@ class MonographCertificate:
 def is_monograph(graph: MixedGraph, alpha: Phase, kind: MonographKind) -> MonographCertificate:
     """Decide the monograph property structurally, per connected component.
 
-    Checks the fundamental cycles of every component; disconnected graphs
-    pass only when all components do.  The returned potential is rooted at
+    Checks the value of every fundamental cycle, from its balance and edge
+    count in the graph's cycle basis; disconnected graphs pass only when all
+    components do.  The potential of each vertex is the value of its tree
+    path, from the balance and depth the basis records, so it is rooted at
     the smallest vertex of each component.
     """
-    return _certify(graph, alpha, kind)[0]
-
-
-def _certify(
-    graph: MixedGraph, alpha: Phase, kind: MonographKind
-) -> tuple[MonographCertificate, tuple[list[int], list[int]] | None]:
-    """The certificate plus, on success, the tree gauge it was built from."""
     basis = graph.cycle_basis
-    for walk, bal, edges in _cycle_data(graph, basis):
-        if not _is_trivial(alpha, kind, bal, edges):
-            return MonographCertificate(False, None, walk), None
-    balances, depths = _tree_gauge(graph, basis)
+    for walk, bal in zip(basis.cycles, basis.cycle_balances):
+        if not _is_trivial(alpha, kind, bal, walk.edge_count):
+            return MonographCertificate(False, None, walk)
     potential = tuple(
-        _value(alpha, kind, balances[v], depths[v]) for v in range(graph.n)
+        _value(alpha, kind, bal, depth) for bal, depth in zip(basis.balances, basis.depths)
     )
-    return MonographCertificate(True, potential, None), (balances, depths)
+    return MonographCertificate(True, potential, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,15 +177,15 @@ def monograph_partition(
     graph: MixedGraph, alpha: Phase, kind: MonographKind
 ) -> MonographPartition:
     """Group vertices by potential; raises NotMonographError when there is none."""
-    cert, gauge = _certify(graph, alpha, kind)
-    if gauge is None:
+    cert = is_monograph(graph, alpha, kind)
+    if not cert.verdict:
         assert cert.violation is not None
         raise NotMonographError(
             f"graph is not a monograph of kind {kind.value}: "
             f"cycle {list(cert.violation.vertices)} has nontrivial value"
         )
     assert cert.potential is not None
-    balances, depths = gauge
+    balances, depths = graph.cycle_basis.balances, graph.cycle_basis.depths
     groups: dict[object, list[int]] = {}
     for v in range(graph.n):
         if alpha.is_exact:
@@ -239,8 +206,8 @@ def _check_partition_edges(
     graph: MixedGraph,
     alpha: Phase,
     kind: MonographKind,
-    balances: list[int],
-    depths: list[int],
+    balances: Sequence[int],
+    depths: Sequence[int],
     potential: tuple[Phase, ...],
 ) -> None:
     """Every edge must move the potential exactly one step: digons keep it
@@ -482,4 +449,4 @@ def _no_power_is_minus_power(alpha: Phase) -> bool:
 def every_alpha_monograph(graph: MixedGraph) -> bool:
     """True when every fundamental cycle has arc balance zero, which makes the
     graph a first-kind monograph for every choice of alpha."""
-    return all(arc_balance(graph, w).balance == 0 for w in graph.cycle_basis.cycles)
+    return not any(graph.cycle_basis.cycle_balances)

@@ -251,6 +251,8 @@ class EigenPair:
         v = np.asarray(self.vector, dtype=np.complex128)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("eigenvector must be a nonempty 1-d array")
+        if not np.isfinite(v).all():
+            raise ValueError("eigenvector entries must be finite")
         norm = float(np.linalg.norm(v))
         if norm == 0.0:
             raise ValueError("eigenvector must be nonzero")

@@ -170,6 +170,32 @@ class TestTransfer:
         basis_path.write_text("not json")
         assert main(["transfer", "--alpha", "gamma", "--basis", str(basis_path), dc3_file]) == 2
 
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            '[{"lambda": 2, "vector": 5}]',
+            '[{"lambda": 2, "vector": [1, null, 1]}]',
+            '[{"lambda": [2], "vector": [1, 1, 1]}]',
+            '[{"lambda": 2, "vector": [NaN, 1, 1]}]',
+        ],
+        ids=["vector-not-array", "null-entry", "lambda-not-number", "nan-entry"],
+    )
+    def test_malformed_basis_value_is_one_error_line(self, tmp_path, uc3_file, basis):
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text(basis)
+        proc = subprocess.run(
+            [sys.executable, "-m", "hermix", "transfer", "--alpha", "1",
+             "--basis", str(basis_path), uc3_file],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: basis entry 0: ")
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
 
 def gamma_monograph(seed: int, n: int) -> MixedGraph:
     """A connected first-kind monograph for gamma with 2n edges: every vertex

@@ -13,6 +13,7 @@ from hermix import (
     ALPHA_I,
     ALPHA_OMEGA,
     ALPHA_ONE,
+    EdgeKind,
     MixedGraph,
     NumericalError,
     ScaleLimitError,
@@ -84,6 +85,28 @@ class TestOrientedBipartite:
             g = mixed_graph_from_code(n, code)
             if oriented_bipartite(g):
                 assert even_arc_condition(g)
+
+
+def test_flags_match_their_definitions():
+    """Both flags, both ways, against every simple cycle: even arc parity
+    holds exactly when each cycle crosses an even number of arcs, oriented
+    bipartiteness exactly when there is no digon and each cycle is even."""
+    rng = random.Random(131)
+    graphs = [g for n in range(5) for _, g in enumerate_mixed_graphs(n)]
+    for n in (5, 6, 7):
+        for _ in range(150):
+            # a high share of "no edge" digits leaves some graphs disconnected
+            weights = (rng.choice((1, 4, 12)), 1, 1, 1)
+            digits = rng.choices(range(4), weights=weights, k=n * (n - 1) // 2)
+            graphs.append(mixed_graph_from_code(n, sum(d * 4**p for p, d in enumerate(digits))))
+    for g in graphs:
+        cycles = enumerate_simple_cycles(underlying(g), max(g.n, 3))
+        arcs = [sum(g.pair_code(a, b) != 0 for a, b in c.steps()) for c in cycles]
+        digon = any(e.kind is EdgeKind.DIGON for e in g.edges)
+        assert even_arc_condition(g) == all(k % 2 == 0 for k in arcs)
+        assert oriented_bipartite(g) == (
+            not digon and all(c.edge_count % 2 == 0 for c in cycles)
+        )
 
 
 class TestNumericCospectral:

@@ -18,6 +18,7 @@ from hermix import (
     GraphFormatError,
     MixedGraph,
     Walk,
+    arc_balance,
     connected_components,
     degree_profile,
     enumerate_simple_cycles,
@@ -205,6 +206,47 @@ class TestFundamentalCycles:
         radius_equality_analysis(k4x, ALPHA_I)
         assert built == [k4x]
         assert k4x.cycle_basis == fundamental_cycles(k4x)
+
+
+def union_find_components(g) -> tuple[tuple[int, ...], ...]:
+    """Independent components: union-find over the edges, grouped by the
+    smallest member."""
+    root = list(range(g.n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for e in g.edges:
+        a, b = sorted((find(e.u), find(e.v)))
+        root[b] = a
+    groups: dict[int, list[int]] = {}
+    for v in range(g.n):
+        groups.setdefault(find(v), []).append(v)
+    return tuple(sorted(tuple(vs) for vs in groups.values()))
+
+
+def test_forest_gauge_matches_walks():
+    """The balances the BFS records are those of the walks themselves: each
+    fundamental cycle's, and each vertex's tree path from its root."""
+    rng = random.Random(1013)
+    for trial in range(150):
+        n = trial % 13
+        # sparse draws leave graphs disconnected, dense ones connected
+        g = random_mixed_graph(rng, n, rng.choice([0.1, 0.2, 0.35, 0.6, 0.9]))
+        basis = g.cycle_basis
+        assert len(basis.cycle_balances) == len(basis.cycles)
+        for walk, bal in zip(basis.cycles, basis.cycle_balances):
+            assert bal == arc_balance(g, walk).balance
+        assert len(basis.balances) == g.n
+        for v in range(g.n):
+            path = [v]
+            while basis.parents[path[-1]] is not None:
+                path.append(basis.parents[path[-1]])
+            assert path[-1] == basis.roots[v]
+            assert basis.balances[v] == arc_balance(g, Walk(tuple(reversed(path)))).balance
+        assert connected_components(g) == union_find_components(g)
 
 
 def brute_force_simple_cycles(g, max_len: int) -> set[tuple[int, ...]]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,13 @@ class TestVerifyEigenpair:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             EigenPair(1.0, np.zeros(3, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, math.nan)])
+    def test_non_finite_entry_rejected_before_normalising(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                EigenPair(1.0, [bad, 1, 1])
 
     def test_nan_is_not_a_zero_residual(self, uc3):
         pair = EigenPair(math.nan, np.ones(3, dtype=complex))
