@@ -8,7 +8,11 @@ streams one JSON object per hit.
 Exit codes: 0 success, 2 bad input of any sort, 1 a numerical check failed.
 A reader that closes stdout early (``| head``) ends the output quietly, with
 exit code 0.
-Floats are printed with 12 significant digits.
+
+Floats are rounded to 12 significant digits and printed in Python's
+shortest round-trip form, the text ``json.dumps(float(f"{x:.12g}"))`` gives:
+``3.0``, ``-0.0``, ``0.333333333333``, ``1e-05``, and ``1000000000000.0``
+up to 1e16.  Infinities and NaN print as ``Infinity`` and ``NaN``.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from typing import Any, Sequence
@@ -53,32 +58,69 @@ __all__ = ["main"]
 
 
 _FORMAT_12G = "{:.12g}".format
+_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+_escape = json.encoder.encode_basestring_ascii
 
 
-def _round_floats(obj: Any) -> Any:
-    """12 significant digits, applied recursively; bools stay bools.
+def _notation(token: str) -> str:
+    """The JSON text of ``float(token)`` for a ``{:.12g}`` token that is not
+    already in it: one with an exponent, a bare integer, or inf/nan."""
+    if "e" in token:
+        # repr prints 1e12 <= |x| < 1e16 positionally and shortens subnormals
+        return repr(float(token))
+    if token in _NONFINITE:
+        return _NONFINITE[token]
+    return token + ".0"
 
-    The payload's own types are matched exactly first; the ``isinstance``
-    checks after them serve bools, numpy floats and tuples.
+
+def _floats(xs: list[float]) -> list[str]:
+    """Each float's JSON text, formatted once.
+
+    A ``{:.12g}`` token with a decimal point and no exponent holds at most
+    12 significant digits, so it is already the shortest text that reads
+    back as the same float: exactly what ``repr`` would print.
+    """
+    return [
+        s if "." in s and "e" not in s else _notation(s)
+        for s in map(_FORMAT_12G, xs)
+    ]
+
+
+def _json(obj: Any) -> str:
+    """``json.dumps`` text with every float rounded to 12 significant digits.
+
+    A 1-d complex array prints as its list of ``[re, im]`` pairs.  The
+    ``isinstance`` checks serve int subclasses (bool is matched before
+    them) and numpy floats.
     """
     kind = type(obj)
-    if kind is float:
-        return float(_FORMAT_12G(obj))
+    if kind is str:
+        return _escape(obj)
     if kind is dict:
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if kind is list:
-        return [_round_floats(v) for v in obj]
-    if isinstance(obj, bool):
-        return obj
+        items = [_escape(k) + ": " + _json(v) for k, v in obj.items()]
+        return "{" + ", ".join(items) + "}"
+    if kind is list or kind is tuple:
+        return "[" + ", ".join(map(_json, obj)) + "]"
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, float):
-        return float(_FORMAT_12G(obj))
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+        # the rule of _floats, spelled out to spare a list per scalar
+        s = _FORMAT_12G(obj)
+        return s if "." in s and "e" not in s else _notation(s)
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "c":
+        # the float view of a complex128 array interleaves re and im
+        flat = np.ascontiguousarray(obj, dtype=np.complex128).view(np.float64)
+        template = "[" + ", ".join(["[{}, {}]"] * obj.size) + "]"
+        return template.format(*_floats(flat.tolist()))
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _emit(obj: Any) -> None:
-    print(json.dumps(_round_floats(obj)))
+    print(_json(obj))
 
 
 def _read_graph(path: str) -> MixedGraph:
@@ -93,11 +135,6 @@ def _edges_json(graph: MixedGraph) -> list[list[Any]]:
         ["digon" if e.kind is EdgeKind.DIGON else "arc", e.u, e.v]
         for e in graph.sorted_edges
     ]
-
-
-def _vector_json(vec: np.ndarray) -> list[list[float]]:
-    """[re, im] per entry, as plain floats for the emitter to round."""
-    return np.column_stack((vec.real, vec.imag)).tolist()
 
 
 def _spectra_payload(graph: MixedGraph, alpha: Phase, oracle: bool) -> dict[str, Any]:
@@ -221,7 +258,7 @@ def _cmd_transfer(args: argparse.Namespace) -> None:
         {
             "alpha": str(alpha),
             "pairs": [
-                {"lambda": pair.eigenvalue, "vector": _vector_json(pair.vector)}
+                {"lambda": pair.eigenvalue, "vector": pair.vector}
                 for pair in moved
             ],
             "max_residual": residual,
@@ -344,8 +381,20 @@ def _add_kind_arg(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kind", type=int, choices=(1, 2), required=True)
 
 
+def _tolerance(text: str) -> float:
+    """A finite number >= 0; the library takes any float, the command line
+    refuses the ones no comparison can use."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _add_tol_arg(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sub.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
 
 # parsing never mutates the parser, so one instance serves every call

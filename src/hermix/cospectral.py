@@ -310,10 +310,14 @@ def search_cospectral(
         raise ValueError("vertex count must be nonnegative")
     codes: range | list[int]
     if mode == "exhaustive":
+        if count is not None or seed is not None:
+            raise ValueError("count and seed apply to random mode only")
         codes = _exhaustive_codes(n)
     elif mode == "random":
         if count is None or seed is None:
             raise ValueError("random mode requires both count and seed")
+        if count < 0:
+            raise ValueError(f"count must be nonnegative, got {count}")
         if n > MAX_RANDOM_VERTICES:
             raise ScaleLimitError(
                 f"random search is capped at {MAX_RANDOM_VERTICES} vertices"

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hermix import (
@@ -158,3 +160,25 @@ def reference_pair_residual(graph: MixedGraph, alpha: Phase, value: float, x) ->
         rhs += ac * sum(x[v] for v in graph.in_neighbors(u))
         worst = max(worst, abs(value * x[u] - rhs))
     return float(worst)
+
+
+def reference_json(obj) -> str:
+    """The CLI's JSON rule spelled out: every float becomes
+    ``float(f"{x:.12g}")``, a complex vector a list of ``[re, im]`` pairs, and
+    ``json.dumps`` prints the result.  The reference the CLI's one-pass
+    encoder is compared against."""
+
+    def rounded(o):
+        if isinstance(o, bool):
+            return o
+        if isinstance(o, float):
+            return float(f"{o:.12g}")
+        if isinstance(o, dict):
+            return {k: rounded(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple)):
+            return [rounded(v) for v in o]
+        if isinstance(o, np.ndarray):
+            return [[rounded(float(z.real)), rounded(float(z.imag))] for z in o]
+        return o
+
+    return json.dumps(rounded(obj))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import io
 import json
@@ -12,6 +13,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hermix import (
     ALPHA_GAMMA,
@@ -23,9 +26,9 @@ from hermix import (
     transfer_eigenvectors,
     verify_eigenpair,
 )
-from hermix.cli import _round_floats, main
+from hermix.cli import _json, main
 
-from conftest import complete_mixed
+from conftest import complete_mixed, reference_json
 
 
 @pytest.fixture
@@ -225,20 +228,68 @@ def gamma_monograph(seed: int, n: int) -> MixedGraph:
 
 
 class TestEmitter:
-    """Floats print as ``float(f"{x:.12g}")``, and transfer output is pinned
-    byte for byte.  The pins come from numpy's LAPACK on x86-64: the basis of
-    a repeated eigenvalue, and the last digits of ``max_residual``, may
-    differ on another LAPACK build."""
+    """Floats print as ``float(f"{x:.12g}")`` would under ``json.dumps``, and
+    transfer output is pinned byte for byte.  The pins come from numpy's
+    LAPACK on x86-64: the basis of a repeated eigenvalue, and the last digits
+    of ``max_residual``, may differ on another LAPACK build."""
 
     def test_round_floats(self):
         xs = [-0.0, 1e-300, 5e-324, 0.1 + 0.2, np.float64(1 / 3)]
-        got = _round_floats({"xs": xs, "nested": (1 / 7, (2 / 3, [True, False, 3]))})
+        got = json.loads(_json({"xs": xs, "nested": (1 / 7, (2 / 3, [True, False, 3]))}))
         assert got["xs"] == [float(f"{x:.12g}") for x in xs]
         assert all(type(v) is float for v in got["xs"])
         assert math.copysign(1.0, got["xs"][0]) == -1.0
         assert got["xs"][2] == 5e-324
         assert got["nested"] == [float(f"{1 / 7:.12g}"), [float(f"{2 / 3:.12g}"), [True, False, 3]]]
         assert [type(v) for v in got["nested"][1][1]] == [bool, bool, int]
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.floats())
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-2.2250738585072014e-308)  # smallest normal, negated
+    @example(2.225073858507201e-308)  # largest subnormal
+    @example(1e-4)
+    @example(9.99999999999995e-05)
+    @example(99999999999.95)
+    @example(999999999999.5)
+    @example(1e12)
+    @example(-1e12)
+    @example(9999999999999998.0)
+    @example(1e16)
+    @example(1.7976931348623157e308)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(math.nan)
+    def test_float_text_matches_reference(self, x):
+        assert _json(x) == reference_json(x)
+        assert _json(np.float64(x)) == reference_json(x)
+        assert _json([x]) == reference_json([x])
+
+    def test_nested_payload_matches_reference(self):
+        class Kind(enum.IntEnum):
+            SECOND = 2
+
+        class Count(int):
+            def __repr__(self):
+                return "Count()"
+
+            __str__ = __repr__
+
+        vector = np.array([0.5 + 0.25j, -0.0 - 1e-7j, 3.0, 1 / 3 - 1e13j, 1.5e13 + 5e-324j])
+        payload = {
+            "naïve \"key\"\n": [1 / 3, (2.0, -0.0), {"empty": [], "none": None}],
+            "flags": {"yes": True, "no": False},
+            "ints": [0, -7, 2**70, Kind.SECOND, Count(3)],
+            "text": "γ → ω",
+            "vector": vector,
+            "pairs": [{"lambda": 1e-5, "vector": vector[::-2]}],
+        }
+        assert _json(payload) == reference_json(payload)
+        assert _json(Kind.SECOND) == "2"
+        with pytest.raises(TypeError):
+            _json({"set": {1}})
 
     def test_transfer_dc3_gamma_pinned(self, capsys, dc3_file):
         assert main(["transfer", "--alpha", "gamma", dc3_file]) == 0
@@ -421,6 +472,44 @@ class TestErrorPaths:
         argv = ["search-cospectral", "--n", "9", "--alpha", "i", "--alpha", "gamma"]
         assert main(argv + ["--mode", "random", "--count", "5", "--seed", "1"]) == 2
         assert "capped at 8 vertices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "tiny"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cospectral", "--alpha", "i", "--alpha", "gamma", "GRAPH"],
+            ["radius", "--alpha", "i", "GRAPH"],
+            ["search-cospectral", "--n", "3", "--alpha", "gamma", "--alpha", "omega"],
+        ],
+        ids=["cospectral", "radius", "search-cospectral"],
+    )
+    def test_bad_tol_is_usage_error(self, capsys, dc3_file, argv, tol):
+        argv = [dc3_file if a == "GRAPH" else a for a in argv]
+        assert main(argv + [f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+        assert len(errors) == 1
+        assert errors[0].endswith(
+            f"error: argument --tol: must be a finite number >= 0, got {tol!r}"
+        )
+
+    def test_zero_tol_accepted(self, capsys, dc3_file):
+        argv = ["cospectral", "--alpha", "i", "--alpha", "i", "--tol", "0", dc3_file]
+        assert run_json(capsys, argv)["cospectral"] is True
+
+    def test_negative_search_count(self, capsys):
+        argv = ["search-cospectral", "--n", "3", "--alpha", "i", "--alpha", "gamma"]
+        assert main(argv + ["--mode", "random", "--count", "-1", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == "error: count must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize("extra", [["--count", "5"], ["--seed", "1"]])
+    def test_exhaustive_search_refuses_count_and_seed(self, capsys, extra):
+        argv = ["search-cospectral", "--n", "3", "--alpha", "i", "--alpha", "gamma"]
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: count and seed apply to random mode only\n"
 
     @pytest.mark.parametrize(
         "argv, alpha",
