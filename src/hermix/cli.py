@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from typing import Any, Sequence
 
 import numpy as np
@@ -205,7 +206,8 @@ def _cmd_partition(args: argparse.Namespace) -> None:
 
 def _parse_basis(text: str, n: int) -> list[EigenPair]:
     try:
-        # every JSON number becomes a float, so one type check finds the rest
+        # every JSON number becomes a float, so one type check finds the rest:
+        # no other value json builds has type float
         data = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise ValueError(f"basis is not valid JSON: {exc}") from None
@@ -222,15 +224,17 @@ def _parse_basis(text: str, n: int) -> list[EigenPair]:
             raise ValueError(f"basis entry {k}: vector is not an array: {json.dumps(raw)}")
         if len(raw) != n:
             raise ValueError(f"vector length {len(raw)} does not match n={n}")
-        vec = np.empty(n, dtype=np.complex128)
-        for i, entry in enumerate(raw):
-            re_im = entry if isinstance(entry, list) and len(entry) == 2 else [entry, 0.0]
-            if not all(isinstance(x, float) for x in re_im):
-                raise ValueError(
-                    f"basis entry {k}: vector entry {i} is neither a number nor a "
-                    f"[re, im] pair of numbers: {json.dumps(entry)}"
-                )
-            vec[i] = complex(*re_im)
+        # re and im of every entry, interleaved: entry i fills slots 2i, 2i+1
+        flat = list(
+            chain.from_iterable(e if type(e) is list and len(e) == 2 else (e, 0.0) for e in raw)
+        )
+        if not set(map(type, flat)) <= {float}:
+            i = next(j for j, x in enumerate(flat) if type(x) is not float) // 2
+            raise ValueError(
+                f"basis entry {k}: vector entry {i} is neither a number nor a "
+                f"[re, im] pair of numbers: {json.dumps(raw[i])}"
+            )
+        vec = np.array(flat, dtype=np.float64).view(np.complex128)
         try:
             pairs.append(EigenPair(lam, vec))
         except ValueError as exc:

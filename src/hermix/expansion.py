@@ -9,17 +9,19 @@ minus #components contributes ``(-1)**r * prod over cycles of
 2*Re(cycle walk value)``, and ``(-1)**k * c_k`` is the sum of the
 contributions.
 
-Packings are enumerated by their lowest free vertex.  Every edge and every
-simple cycle is filed under its lowest vertex, and each cycle's arc balance
-is computed once.  The recursion then decides the vertices in increasing
-order: the lowest vertex not yet decided either stays uncovered or is
-covered by one item of its own bucket that misses every covered vertex.
-Each packing is reached exactly once, and a step looks only at the items
-that could cover its vertex.  The characteristic polynomial needs no
-packing objects: the recursion counts how many packings share each sequence
-of item sizes and cycle balances, which fixes k, r and the sorted balances,
-and every alpha is evaluated from those counts.  ``enumerate_elementary``
-runs the same recursion, so its order within one k is the recursion's.
+A packing is a packing of disjoint cycles completed by a matching of the
+vertices the cycles leave uncovered, and only the cycles carry a phase.  So
+the cycles are enumerated and the matchings are counted.  The simple-cycle
+search records each cycle's vertex mask and arc balance as it builds the
+walk.  Every cycle is filed under its lowest vertex, and a recursion lists
+each cycle packing exactly once, adding its cycles in increasing order of
+their lowest vertex.  The matchings of a vertex set are counted by size in
+a table memoised on the set's mask.  A cycle packing covering s vertices
+with c cycles, completed by j edges, covers k = s + 2j vertices with
+r = s - c + j.  So the packings are counted by k, r and sorted cycle
+balances without building one, and every alpha is evaluated from those
+counts.  ``enumerate_elementary`` lists the same cycle packings, each
+followed by the matchings of its uncovered vertices.
 
 This is deliberately exponential.  It exists as an independent cross-check
 of the numeric path on desk-sized graphs, so it is guarded at 12 vertices.
@@ -33,12 +35,11 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Hashable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import InvalidWalkError, ScaleLimitError
-from .graphs import Edge, MixedGraph, Walk, enumerate_simple_cycles, underlying
-from .phases import Phase, arc_balance, rotation_cos, walk_value_h
+from .graphs import Edge, MixedGraph, SimpleCycle, Walk, enumerate_simple_cycles
+from .phases import Phase, rotation_cos, walk_value_h
 from .spectra import CharPoly
 
 __all__ = [
@@ -86,69 +87,85 @@ def _guard(graph: MixedGraph) -> None:
         )
 
 
-def _packings(
-    graph: MixedGraph, label: Callable[[Edge | Walk, int | None], Hashable]
-) -> dict[tuple[Hashable, ...], int]:
-    """Count the packings by the labels of their items.
+def _cycle_packings(graph: MixedGraph) -> list[tuple[int, tuple[SimpleCycle, ...]]]:
+    """Every packing of pairwise disjoint simple cycles, the empty one first.
 
-    ``label(part, balance)`` labels each item: an edge with balance None, or
-    a simple cycle, as a closed walk, with its arc balance.  The result maps
-    every sequence of item labels, items in order of their lowest vertex,
-    to the number of packings that read it; the empty packing reads the
-    empty sequence.  When the labels tell items apart, every count is 1 and
-    the keys list each packing once, in a fixed order.
-
-    Every item is filed under its lowest vertex, and each cycle's balance is
-    computed once.  The recursion takes the lowest vertex not yet decided:
-    it stays uncovered, or an item of its bucket that misses every covered
-    vertex covers it.  Items of that bucket hold no lower vertex, so each
-    packing is reached along exactly one path, and a step scans only the
-    bucket of its own vertex.
+    Each packing comes as its covered-vertex mask and its cycles in order of
+    their lowest vertex.  Every cycle is filed under its lowest vertex, with
+    the cycles on one vertex set kept together.  A packing is listed, then
+    extended by each cycle that misses every covered vertex and whose lowest
+    vertex is free and above the lowest vertex of the packing's last cycle.
+    The cycles of a packing have distinct lowest vertices, so each packing
+    is reached along exactly one path, and each vertex set is tested once
+    per packing that could take it.
     """
     n = graph.n
-    buckets: list[list[tuple[int, Hashable]]] = [[] for _ in range(n)]
-    for e in graph.sorted_edges:
-        u, v = e.pair
-        buckets[u].append((1 << u | 1 << v, label(e, None)))
+    by_set: list[dict[int, list[SimpleCycle]]] = [{} for _ in range(n)]
     if n >= 3:
-        for c in enumerate_simple_cycles(underlying(graph), n):
-            mask = sum(1 << v for v in c.vertices[:-1])
-            buckets[c.vertices[0]].append((mask, label(c, arc_balance(graph, c).balance)))
-    counts: defaultdict[tuple[Hashable, ...], int] = defaultdict(int)
+        for c in enumerate_simple_cycles(graph, n):
+            by_set[c.vertices[0]].setdefault(c.mask, []).append(c)
+    buckets = [list(d.items()) for d in by_set]
+    found: list[tuple[int, tuple[SimpleCycle, ...]]] = []
 
-    def rec(v: int, covered: int, labels: tuple[Hashable, ...]) -> None:
-        while v < n and covered >> v & 1:
-            v += 1
-        if v == n:
-            counts[labels] += 1
-            return
-        rec(v + 1, covered, labels)
-        for mask, item in buckets[v]:
-            if not covered & mask:
-                rec(v + 1, covered | mask, labels + (item,))
+    def extend(first: int, covered: int, cycles: tuple[SimpleCycle, ...]) -> None:
+        found.append((covered, cycles))
+        for v in range(first, n):
+            if covered >> v & 1:
+                continue
+            for mask, same_set in buckets[v]:
+                if not covered & mask:
+                    for c in same_set:
+                        extend(v + 1, covered | mask, cycles + (c,))
 
-    rec(0, 0, ())
-    return counts
+    extend(0, 0, ())
+    return found
+
+
+def _matchings(
+    graph: MixedGraph, free: int, j: int, edge_of: dict[tuple[int, int], Edge]
+) -> Iterator[tuple[Edge, ...]]:
+    """The matchings of j edges on the vertex mask ``free``, edges in order of
+    their lower end: the lowest free vertex stays unmatched first, then is
+    matched to each of its free neighbors in increasing order."""
+    if j == 0:
+        yield ()
+        return
+    if free.bit_count() < 2 * j:
+        return
+    low = free & -free
+    v = low.bit_length() - 1
+    rest = free ^ low
+    yield from _matchings(graph, rest, j, edge_of)
+    for u in graph.neighbors(v):
+        if rest >> u & 1:
+            for m in _matchings(graph, rest ^ 1 << u, j - 1, edge_of):
+                yield (edge_of[v, u],) + m
 
 
 def enumerate_elementary(graph: MixedGraph, k: int) -> tuple[ElementarySubgraph, ...]:
     """All packings covering exactly k vertices (k = 0 gives the empty one).
 
-    The order is fixed for a given graph; it follows the enumeration by
-    lowest free vertex, not component count.
+    The order is fixed for a given graph: the cycle packings in the order
+    ``_cycle_packings`` lists them, the empty one first, and under each one
+    the matchings of the vertices it leaves uncovered, by lowest free
+    vertex.  It does not follow component count.
     """
     _guard(graph)
     if not 0 <= k <= graph.n:
         raise ValueError(f"k must be between 0 and n={graph.n}")
+    full = (1 << graph.n) - 1
+    edge_of = {e.pair: e for e in graph.edges}
     found: list[ElementarySubgraph] = []
-    for parts in _packings(graph, lambda part, _: part):
-        edges = tuple(p for p in parts if isinstance(p, Edge))
-        cycles = tuple(p for p in parts if isinstance(p, Walk))
-        covered = frozenset(v for e in edges for v in e.pair).union(
-            *(c.vertices for c in cycles)
-        )
-        if len(covered) == k:
-            found.append(ElementarySubgraph(edges, cycles, covered))
+    for covered, cycles in _cycle_packings(graph):
+        j, odd = divmod(k - covered.bit_count(), 2)
+        if j < 0 or odd:
+            continue
+        walks = tuple(c.walk for c in cycles)
+        for edges in _matchings(graph, full ^ covered, j, edge_of):
+            vertex_set = frozenset(v for e in edges for v in e.pair).union(
+                *(w.vertices for w in walks)
+            )
+            found.append(ElementarySubgraph(edges, walks, vertex_set))
     return tuple(found)
 
 
@@ -169,12 +186,40 @@ def subgraph_term(graph: MixedGraph, alpha: Phase, sub: ElementarySubgraph) -> f
     return term
 
 
-def _size_and_balance(part: Edge | Walk, balance: int | None) -> tuple[int, int | None]:
-    """A packing item's vertex count and, for a cycle, its arc balance."""
-    return (2, None) if balance is None else (len(part) - 1, balance)
+def _matching_counts(graph: MixedGraph) -> Callable[[int], list[int]]:
+    """``m(S)``: entry j counts the j-edge matchings on the vertex mask S.
+
+    With v the lowest vertex of S, a matching leaves v unmatched or matches
+    it to a neighbor u in S, so ``m(S) = m(S-v) + x * sum m(S-v-u)`` as
+    polynomials in x.  Every mask is computed once and memoised.  Dropping
+    an edge of a j-edge matching leaves a (j-1)-edge one, so no entry below
+    the largest matching size is zero.
+    """
+    nbrs = [sum(1 << u for u in graph.neighbors(v)) for v in range(graph.n)]
+    memo: dict[int, list[int]] = {0: [1]}
+
+    def m(free: int) -> list[int]:
+        hit = memo.get(free)
+        if hit is not None:
+            return hit
+        low = free & -free
+        rest = free ^ low
+        counts = list(m(rest))
+        partners = nbrs[low.bit_length() - 1] & rest
+        while partners:
+            bit = partners & -partners
+            partners ^= bit
+            sub = m(rest ^ bit)
+            if len(sub) >= len(counts):
+                counts.append(0)
+            for j, c in enumerate(sub, 1):
+                counts[j] += c
+        memo[free] = counts
+        return counts
+
+    return m
 
 
-@lru_cache(maxsize=128)
 def _term_profile(
     graph: MixedGraph,
 ) -> tuple[dict[tuple[int, tuple[int, ...]], int], ...]:
@@ -182,17 +227,26 @@ def _term_profile(
 
     Every cycle value is alpha to the cycle's balance and enters through its
     real part, so the sorted balance tuple is all an alpha needs to evaluate
-    a packing's term.  The enumeration counts packings by the vertex count
-    and balance of each item, which fix k, r and the balances; no packing
-    object is built.
+    a packing's term.  A packing is a packing of cycles completed by a
+    matching of the vertices it leaves uncovered.  The cycle packings are
+    grouped by covered-vertex mask and sorted balances, and the matchings
+    are only counted: a cycle packing covering s vertices with c cycles,
+    completed by j edges, covers k = s + 2j vertices in c + j components,
+    so it adds to ``prof[s + 2j][(s - c + j, balances)]``.
     """
-    prof: list[dict[tuple[int, tuple[int, ...]], int]] = [
+    groups: defaultdict[tuple[int, tuple[int, ...]], int] = defaultdict(int)
+    for covered, cycles in _cycle_packings(graph):
+        groups[covered, tuple(sorted(c.balance for c in cycles))] += 1
+    matchings = _matching_counts(graph)
+    full = (1 << graph.n) - 1
+    prof: list[defaultdict[tuple[int, tuple[int, ...]], int]] = [
         defaultdict(int) for _ in range(graph.n + 1)
     ]
-    for labels, count in _packings(graph, _size_and_balance).items():
-        k = sum(size for size, _ in labels)
-        cycles = sorted(b for _, b in labels if b is not None)
-        prof[k][k - len(labels), tuple(cycles)] += count
+    for (covered, balances), count in groups.items():
+        s = covered.bit_count()
+        r = s - len(balances)
+        for j, m in enumerate(matchings(full ^ covered)):
+            prof[s + 2 * j][r + j, balances] += count * m
     return tuple(dict(d) for d in prof)
 
 
@@ -201,13 +255,16 @@ def char_poly_expansion(graph: MixedGraph, alpha: Phase) -> CharPoly:
     _guard(graph)
     prof = _term_profile(graph)
     rot = alpha.rotation
+    # the factor 2*Re(alpha**b) of each distinct balance, taken once
+    balances = {b for d in prof for _, bs in d for b in bs}
+    factor = {b: 2.0 * rotation_cos(rot * b) for b in balances}
     coeffs: list[float] = []
     for k in range(1, graph.n + 1):
         terms: list[float] = []
         for (r, balances), count in prof[k].items():
             term = -1.0 if r % 2 else 1.0
             for b in balances:
-                term *= 2.0 * rotation_cos(rot * b)
+                term *= factor[b]
             terms.append(count * term)
         sign = -1.0 if k % 2 else 1.0
         coeffs.append(sign * math.fsum(terms))

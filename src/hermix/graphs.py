@@ -29,6 +29,7 @@ __all__ = [
     "Walk",
     "DegreeProfile",
     "FundamentalCycleBasis",
+    "SimpleCycle",
     "parse_graph",
     "serialize_graph",
     "underlying",
@@ -267,6 +268,19 @@ class FundamentalCycleBasis:
     cycle_balances: tuple[int, ...]
 
 
+class SimpleCycle(NamedTuple):
+    """A simple cycle: the vertices of its closed walk, the bit mask of its
+    vertices (bit v set for vertex v) and its arc balance along the walk."""
+
+    vertices: tuple[int, ...]
+    mask: int
+    balance: int
+
+    @property
+    def walk(self) -> Walk:
+        return Walk(self.vertices)
+
+
 _EDGE_RE = re.compile(r"^(\d+)\s*(--|->)\s*(\d+)$")
 
 
@@ -402,36 +416,37 @@ def _fundamental_walk(edge: Edge, parents: list[int | None], depths: list[int]) 
     return Walk(tuple(path))
 
 
-def enumerate_simple_cycles(graph: UndirectedGraph, max_len: int) -> tuple[Walk, ...]:
+def enumerate_simple_cycles(graph: MixedGraph, max_len: int) -> tuple[SimpleCycle, ...]:
     """All simple cycles with 3..max_len vertices, one representative each.
 
     A cycle is reported as a closed walk rooted at its smallest vertex with
     the second vertex smaller than the second-to-last, which fixes rotation
     and reflection.  Plain exhaustive backtracking, intended for the small
-    graphs the oracles run on.
+    graphs the oracles run on.  The search carries the path's vertex mask
+    and arc balance as it extends the path, reading each step from the
+    pair-code table that ``phases.arc_balance`` reads, so every cycle comes
+    with both and no walk is looked up again.
     """
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
-    out: list[Walk] = []
-    adj = [graph.neighbors(v) for v in range(graph.n)]
+    out: list[SimpleCycle] = []
+    codes = graph._codes
+    steps = [tuple((w, codes[v, w]) for w in graph.neighbors(v)) for v in range(graph.n)]
     path: list[int] = []
-    on_path = [False] * graph.n
 
-    def extend(s: int) -> None:
+    def extend(s: int, mask: int, balance: int) -> None:
         last = path[-1]
-        for w in adj[last]:
+        for w, code in steps[last]:
             if w == s:
-                if len(path) >= 3 and path[1] < path[-1]:
-                    out.append(Walk(tuple(path) + (s,)))
-            elif w > s and not on_path[w] and len(path) < max_len:
+                if len(path) >= 3 and path[1] < last:
+                    out.append(SimpleCycle((*path, s), mask, balance + code))
+            elif w > s and not mask >> w & 1 and len(path) < max_len:
                 path.append(w)
-                on_path[w] = True
-                extend(s)
-                on_path[w] = False
+                extend(s, mask | 1 << w, balance + code)
                 path.pop()
 
     for s in range(graph.n):
         path.clear()
         path.append(s)
-        extend(s)
+        extend(s, 1 << s, 0)
     return tuple(out)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,11 @@ from hermix import (
     CharPoly,
     MixedGraph,
     Phase,
+    arc_balance,
     build_hermitian,
     char_poly,
     eigen_decomposition,
+    enumerate_simple_cycles,
     parse_graph,
 )
 
@@ -182,3 +185,44 @@ def reference_json(obj) -> str:
         return o
 
     return json.dumps(rounded(obj))
+
+
+def reference_term_profile(graph: MixedGraph) -> tuple[dict, ...]:
+    """The oracle's term profile from full packings: per cover size k, how
+    many packings of disjoint edges and simple cycles have each
+    (r, sorted cycle balances) pair.  The reference the library's cycle
+    packings times matching counts are compared against.
+
+    Every edge and cycle is filed under its lowest vertex, each cycle with
+    its balance from ``arc_balance``.  A recursion takes the lowest vertex
+    not yet decided: it stays uncovered, or an item of its bucket that
+    misses every covered vertex covers it, so each packing is reached once.
+    """
+    n = graph.n
+    buckets: list[list[tuple[int, int, int | None]]] = [[] for _ in range(n)]
+    for e in graph.sorted_edges:
+        u, v = e.pair
+        buckets[u].append((1 << u | 1 << v, 2, None))
+    if n >= 3:
+        for c in enumerate_simple_cycles(graph, n):
+            walk = c.walk
+            mask = sum(1 << v for v in walk.vertices[:-1])
+            balance = arc_balance(graph, walk).balance
+            buckets[walk.vertices[0]].append((mask, len(walk) - 1, balance))
+    prof: list[defaultdict] = [defaultdict(int) for _ in range(n + 1)]
+
+    def rec(v: int, covered: int, items: tuple[tuple[int, int | None], ...]) -> None:
+        while v < n and covered >> v & 1:
+            v += 1
+        if v == n:
+            k = sum(size for size, _ in items)
+            balances = tuple(sorted(b for _, b in items if b is not None))
+            prof[k][k - len(items), balances] += 1
+            return
+        rec(v + 1, covered, items)
+        for mask, size, balance in buckets[v]:
+            if not covered & mask:
+                rec(v + 1, covered | mask, items + ((size, balance),))
+
+    rec(0, 0, ())
+    return tuple(dict(d) for d in prof)

@@ -161,7 +161,7 @@ def test_3_detection_equivalence(capsys, small_sweep):
     with criterion(capsys, 3, "detection-equivalence") as c:
         checked = disagreements = 0
         for g in small_sweep:
-            cycles = enumerate_simple_cycles(g, max(3, g.n)) if g.n >= 3 else ()
+            cycles = [c.walk for c in enumerate_simple_cycles(g, max(3, g.n))] if g.n >= 3 else ()
             for a in TRIO:
                 for kind, value in (
                     (MonographKind.FIRST, walk_value_h),

@@ -26,7 +26,7 @@ from hermix import (
     transfer_eigenvectors,
     verify_eigenpair,
 )
-from hermix.cli import _json, main
+from hermix.cli import _json, _parse_basis, main
 
 from conftest import complete_mixed, reference_json
 
@@ -160,6 +160,49 @@ class TestTransfer:
             capsys, ["transfer", "--alpha", "1", "--basis", str(basis_path), uc3_file]
         )
         assert data["max_residual"] <= 1e-9
+
+    @pytest.mark.parametrize(
+        "basis, message",
+        [
+            ('[{"lambda": 2, "vector": 5}]', "basis entry 0: vector is not an array: 5.0"),
+            (
+                '[{"lambda": 2, "vector": [1, null, 1]}]',
+                "basis entry 0: vector entry 1 is neither a number nor a [re, im] pair "
+                "of numbers: null",
+            ),
+            ('[{"lambda": [2], "vector": [1, 1, 1]}]', "basis entry 0: lambda is not a number: [2.0]"),
+            ('[{"lambda": 2, "vector": [NaN, 1, 1]}]', "basis entry 0: eigenvector entries must be finite"),
+            (
+                '[{"lambda": 1, "vector": [1, 0, 0]}, {"lambda": 2, "vector": [[1, 0], [0, true], 1]}]',
+                "basis entry 1: vector entry 1 is neither a number nor a [re, im] pair "
+                "of numbers: [0.0, true]",
+            ),
+            (
+                '[{"lambda": 2, "vector": [1, [1, 2, 3], 1]}]',
+                "basis entry 0: vector entry 1 is neither a number nor a [re, im] pair "
+                "of numbers: [1.0, 2.0, 3.0]",
+            ),
+            (
+                '[{"lambda": 2, "vector": [1, 1, "1"]}]',
+                'basis entry 0: vector entry 2 is neither a number nor a [re, im] pair '
+                'of numbers: "1"',
+            ),
+            ('[{"lambda": 2, "vector": [1, 1]}]', "vector length 2 does not match n=3"),
+            ('[{"lambda": 2, "vector": [0, [0, 0], 0]}]', "basis entry 0: eigenvector must be nonzero"),
+            ('[{"lambda": 2}]', "each basis entry needs 'lambda' and 'vector'"),
+        ],
+    )
+    def test_basis_error_messages(self, basis, message):
+        with pytest.raises(ValueError) as err:
+            _parse_basis(basis, 3)
+        assert str(err.value) == message
+
+    def test_basis_entries_read_exactly(self):
+        # numbers and [re, im] pairs mixed; unit norm, so normalising leaves
+        # every entry as it was read
+        pairs = _parse_basis('[{"lambda": 1, "vector": [[0.6, 0], 0, [0, -0.8]]}]', 3)
+        assert pairs[0].eigenvalue == 1.0
+        assert list(pairs[0].vector) == [0.6, 0.0, -0.8j]
 
     def test_bad_basis_is_input_error(self, capsys, tmp_path, dc3_file):
         basis_path = tmp_path / "basis.json"

@@ -19,23 +19,33 @@ from hermix import (
     ElementarySubgraph,
     MixedGraph,
     ScaleLimitError,
+    arc_balance,
     build_hermitian,
     char_poly_expansion,
     eigen_decomposition,
     enumerate_elementary,
+    enumerate_mixed_graphs,
+    enumerate_simple_cycles,
     make_alpha,
+    mixed_graph_from_code,
+    rotation_cos,
     subgraph_term,
-    underlying,
 )
+from hermix.expansion import _term_profile
 
 from conftest import (
     complete_mixed,
     numeric_char_poly,
     random_mixed_graph,
     random_mixed_tree,
+    reference_term_profile,
 )
 
 ALPHAS = (ALPHA_I, ALPHA_GAMMA, ALPHA_OMEGA, make_alpha("root:1/5"), make_alpha("angle:1.0"))
+PROFILE_ALPHAS = tuple(
+    make_alpha(spec)
+    for spec in ("1", "i", "gamma", "omega", "root:2/5", "root:3/7", "angle:0.7", "angle:2.1")
+)
 
 
 class TestEnumerateElementary:
@@ -254,6 +264,91 @@ class TestCharPolyExpansion:
             )
             plain = char_poly_expansion(skeleton, ALPHA_ONE).coefficients
             assert np.allclose(mixed, plain)
+
+
+def _disjoint_union(g: MixedGraph, h: MixedGraph) -> MixedGraph:
+    """g on vertices 0..g.n-1 beside h shifted to g.n..g.n+h.n-1."""
+    moved = {Edge(e.u + g.n, e.v + g.n, e.kind) for e in h.edges}
+    return MixedGraph(g.n + h.n, g.edges | moved)
+
+
+def _profile_graphs() -> list[MixedGraph]:
+    """Every graph with n <= 4 (n = 0, 1 and 2 among them), forests,
+    disconnected graphs, a complete one and dense graphs of the desk shape."""
+    graphs = [g for n in range(5) for _, g in enumerate_mixed_graphs(n)]
+    rng = random.Random(307)
+    for n in (1, 5, 9, 12):
+        graphs.append(random_mixed_tree(rng, n))
+    graphs.append(_disjoint_union(random_mixed_tree(rng, 5), random_mixed_tree(rng, 6)))
+    for n in (6, 8, 10):
+        graphs.append(random_mixed_graph(rng, n, edge_prob=0.2))
+    graphs.append(_disjoint_union(complete_mixed(4, rng), complete_mixed(5, rng)))
+    graphs.append(_disjoint_union(MixedGraph(2, frozenset()), complete_mixed(5, rng)))
+    graphs.append(complete_mixed(6, rng))
+    graphs += [_connected_with_cycles(rng, n, n + 2) for n in (9, 10) * 10]
+    return graphs
+
+
+def _profile_char_poly(profile: tuple[dict, ...], alpha) -> tuple[float, ...]:
+    """Evaluate a term profile the way the oracle does, with the cosine taken
+    afresh for every cycle of every profile entry."""
+    rot = alpha.rotation
+    coeffs = []
+    for k in range(1, len(profile)):
+        terms = []
+        for (r, balances), count in profile[k].items():
+            term = -1.0 if r % 2 else 1.0
+            for b in balances:
+                term *= 2.0 * rotation_cos(rot * b)
+            terms.append(count * term)
+        coeffs.append((-1.0 if k % 2 else 1.0) * math.fsum(terms))
+    return tuple(coeffs)
+
+
+def _assert_profile_matches_reference(g: MixedGraph) -> None:
+    reference = reference_term_profile(g)
+    assert _term_profile(g) == reference
+    for alpha in PROFILE_ALPHAS:
+        got = char_poly_expansion(g, alpha).coefficients
+        # bit for bit: hex tells -0.0 from 0.0
+        assert [x.hex() for x in got] == [x.hex() for x in _profile_char_poly(reference, alpha)]
+
+
+class TestTermProfile:
+    def test_matches_full_packing_reference(self):
+        for g in _profile_graphs():
+            _assert_profile_matches_reference(g)
+
+    def test_cycle_records_match_their_walks(self):
+        for g in _profile_graphs()[-25:]:
+            for c in enumerate_simple_cycles(g, g.n):
+                assert c.balance == arc_balance(g, c.walk).balance
+                assert c.mask == sum(1 << v for v in set(c.vertices))
+
+    def test_listing_counts_match_profile(self):
+        rng = random.Random(311)
+        for g in (complete_mixed(5, rng), _connected_with_cycles(rng, 7, 4)):
+            profile = _term_profile(g)
+            for k in range(g.n + 1):
+                subs = enumerate_elementary(g, k)
+                assert len(subs) == sum(profile[k].values())
+                for sub in subs:
+                    r, s = sub.rank_data
+                    balances = tuple(sorted(arc_balance(g, c).balance for c in sub.cycles))
+                    assert profile[k][r, balances] > 0
+                    assert s == len(balances)
+
+
+@pytest.mark.slow
+def test_term_profile_against_reference_sample():
+    """The profile against the full-packing reference on a seeded n = 5
+    sample and on dense n = 9..10 graphs of the desk shape."""
+    rng = random.Random(313)
+    for code in rng.sample(range(4**10), 20000):
+        _assert_profile_matches_reference(mixed_graph_from_code(5, code))
+    for i in range(200):
+        n = 9 + i % 2
+        _assert_profile_matches_reference(_connected_with_cycles(rng, n, n + rng.randrange(1, 4)))
 
 
 @pytest.mark.slow

@@ -34,7 +34,6 @@ from hermix import (
     negated_spectrum_check,
     radius_equality_analysis,
     transfer_eigenvectors,
-    underlying,
     verify_eigenpair,
     walk_value_g,
     walk_value_h,
@@ -74,8 +73,8 @@ def closed_walk_values(
 def brute_force_monograph(g: MixedGraph, alpha: Phase, kind: MonographKind) -> bool:
     """Check every simple cycle, both traversals, value exactly 1."""
     value_fn = walk_value_h if kind is FIRST else walk_value_g
-    for cycle in enumerate_simple_cycles(underlying(g), max(g.n, 3)):
-        for walk in (cycle, cycle.reversed()):
+    for cycle in enumerate_simple_cycles(g, max(g.n, 3)):
+        for walk in (cycle.walk, cycle.walk.reversed()):
             if not value_fn(g, alpha, walk).is_identity():
                 return False
     return True
