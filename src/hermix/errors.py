@@ -6,6 +6,14 @@ signals that a numeric routine failed one of its internal consistency
 checks and the result cannot be trusted.
 """
 
+__all__ = [
+    "GraphFormatError",
+    "InvalidWalkError",
+    "NotMonographError",
+    "ScaleLimitError",
+    "NumericalError",
+]
+
 
 class GraphFormatError(ValueError):
     """A graph file could not be parsed; the message carries the line number."""

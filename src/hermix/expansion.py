@@ -20,8 +20,7 @@ a table memoised on the set's mask.  A cycle packing covering s vertices
 with c cycles, completed by j edges, covers k = s + 2j vertices with
 r = s - c + j.  So the packings are counted by k, r and sorted cycle
 balances without building one, and every alpha is evaluated from those
-counts.  ``enumerate_elementary`` lists the same cycle packings, each
-followed by the matchings of its uncovered vertices.
+counts.
 
 This is deliberately exponential.  It exists as an independent cross-check
 of the numeric path on desk-sized graphs, so it is guarded at 12 vertices.
@@ -34,50 +33,16 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable
 
-from .errors import InvalidWalkError, ScaleLimitError
-from .graphs import Edge, MixedGraph, SimpleCycle, Walk, enumerate_simple_cycles
-from .phases import Phase, rotation_cos, walk_value_h
+from .errors import ScaleLimitError
+from .graphs import MixedGraph, SimpleCycle, enumerate_simple_cycles
+from .phases import Phase, rotation_cos
 from .spectra import CharPoly
 
-__all__ = [
-    "MAX_ORACLE_VERTICES",
-    "RankData",
-    "ElementarySubgraph",
-    "enumerate_elementary",
-    "subgraph_term",
-    "char_poly_expansion",
-]
+__all__ = ["char_poly_expansion"]
 
 MAX_ORACLE_VERTICES = 12
-
-
-class RankData(NamedTuple):
-    r: int
-    s: int
-
-
-@dataclass(frozen=True)
-class ElementarySubgraph:
-    """A packing of disjoint single edges and simple cycles.
-
-    Cycles are stored as closed walks in one fixed traversal; the term is
-    direction independent because only the real part of the product enters.
-    """
-
-    p2_edges: tuple[Edge, ...]
-    cycles: tuple[Walk, ...]
-    vertex_set: frozenset[int]
-
-    @property
-    def component_count(self) -> int:
-        return len(self.p2_edges) + len(self.cycles)
-
-    @property
-    def rank_data(self) -> RankData:
-        return RankData(len(self.vertex_set) - self.component_count, len(self.cycles))
 
 
 def _guard(graph: MixedGraph) -> None:
@@ -119,71 +84,6 @@ def _cycle_packings(graph: MixedGraph) -> list[tuple[int, tuple[SimpleCycle, ...
 
     extend(0, 0, ())
     return found
-
-
-def _matchings(
-    graph: MixedGraph, free: int, j: int, edge_of: dict[tuple[int, int], Edge]
-) -> Iterator[tuple[Edge, ...]]:
-    """The matchings of j edges on the vertex mask ``free``, edges in order of
-    their lower end: the lowest free vertex stays unmatched first, then is
-    matched to each of its free neighbors in increasing order."""
-    if j == 0:
-        yield ()
-        return
-    if free.bit_count() < 2 * j:
-        return
-    low = free & -free
-    v = low.bit_length() - 1
-    rest = free ^ low
-    yield from _matchings(graph, rest, j, edge_of)
-    for u in graph.neighbors(v):
-        if rest >> u & 1:
-            for m in _matchings(graph, rest ^ 1 << u, j - 1, edge_of):
-                yield (edge_of[v, u],) + m
-
-
-def enumerate_elementary(graph: MixedGraph, k: int) -> tuple[ElementarySubgraph, ...]:
-    """All packings covering exactly k vertices (k = 0 gives the empty one).
-
-    The order is fixed for a given graph: the cycle packings in the order
-    ``_cycle_packings`` lists them, the empty one first, and under each one
-    the matchings of the vertices it leaves uncovered, by lowest free
-    vertex.  It does not follow component count.
-    """
-    _guard(graph)
-    if not 0 <= k <= graph.n:
-        raise ValueError(f"k must be between 0 and n={graph.n}")
-    full = (1 << graph.n) - 1
-    edge_of = {e.pair: e for e in graph.edges}
-    found: list[ElementarySubgraph] = []
-    for covered, cycles in _cycle_packings(graph):
-        j, odd = divmod(k - covered.bit_count(), 2)
-        if j < 0 or odd:
-            continue
-        walks = tuple(c.walk for c in cycles)
-        for edges in _matchings(graph, full ^ covered, j, edge_of):
-            vertex_set = frozenset(v for e in edges for v in e.pair).union(
-                *(w.vertices for w in walks)
-            )
-            found.append(ElementarySubgraph(edges, walks, vertex_set))
-    return tuple(found)
-
-
-def subgraph_term(graph: MixedGraph, alpha: Phase, sub: ElementarySubgraph) -> float:
-    """Contribution of one packing: (-1)^r * prod over cycles of 2*Re(value).
-
-    Both traversal directions of every cycle enter the determinant, each
-    cycle independently, so the factors multiply as real parts (conjugate
-    pairs), never as the real part of one long product.
-    """
-    for e in sub.p2_edges:
-        if e not in graph.edges:
-            raise InvalidWalkError(f"packing edge ({e.u}, {e.v}) is not in the graph")
-    r, _ = sub.rank_data
-    term = -1.0 if r % 2 else 1.0
-    for c in sub.cycles:
-        term *= 2.0 * walk_value_h(graph, alpha, c).real
-    return term
 
 
 def _matching_counts(graph: MixedGraph) -> Callable[[int], list[int]]:

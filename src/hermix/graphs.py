@@ -25,14 +25,12 @@ __all__ = [
     "EdgeKind",
     "Edge",
     "MixedGraph",
-    "UndirectedGraph",
     "Walk",
     "DegreeProfile",
     "FundamentalCycleBasis",
     "SimpleCycle",
     "parse_graph",
     "serialize_graph",
-    "underlying",
     "degree_profile",
     "connected_components",
     "fundamental_cycles",
@@ -174,35 +172,6 @@ class MixedGraph:
 
 
 @dataclass(frozen=True)
-class UndirectedGraph:
-    """Plain simple graph; edges are (u, v) pairs with u < v."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if u > v:
-                raise ValueError("edges must be stored smaller id first")
-            if u < 0 or v >= self.n:
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
-
-    @cached_property
-    def _adj(self) -> tuple[tuple[int, ...], ...]:
-        rows: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            rows[u].append(v)
-            rows[v].append(u)
-        return tuple(tuple(sorted(r)) for r in rows)
-
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self._adj[u]
-
-
-@dataclass(frozen=True)
 class Walk:
     """A vertex sequence.  Adjacency of consecutive vertices is checked by the
     operations that evaluate a walk against a concrete graph."""
@@ -259,7 +228,6 @@ class FundamentalCycleBasis:
     ``balances[u] + pair_code(u, v) - balances[v]``.
     """
 
-    tree_edges: frozenset[Edge]
     cycles: tuple[Walk, ...]
     parents: tuple[int | None, ...]
     roots: tuple[int, ...]
@@ -332,11 +300,6 @@ def serialize_graph(graph: MixedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def underlying(graph: MixedGraph) -> UndirectedGraph:
-    """Forget directions."""
-    return UndirectedGraph(graph.n, frozenset(e.pair for e in graph.edges))
-
-
 def degree_profile(graph: MixedGraph) -> DegreeProfile:
     """Degrees in the underlying graph plus the regularity flag."""
     degs = [0] * graph.n
@@ -388,12 +351,11 @@ def fundamental_cycles(graph: MixedGraph) -> FundamentalCycleBasis:
                     balances[y] = balances[x] + codes[x, y]
                     tree_pairs.add((min(x, y), max(x, y)))
                     queue.append(y)
-    tree_edges = frozenset(e for e in graph.edges if e.pair in tree_pairs)
     non_tree = [e for e in graph.sorted_edges if e.pair not in tree_pairs]
     cycles = tuple(_fundamental_walk(e, parents, depths) for e in non_tree)
     cycle_balances = tuple(balances[e.u] + codes[e.u, e.v] - balances[e.v] for e in non_tree)
     forest = (tuple(parents), tuple(roots), tuple(depths), tuple(balances))
-    return FundamentalCycleBasis(tree_edges, cycles, *forest, cycle_balances)
+    return FundamentalCycleBasis(cycles, *forest, cycle_balances)
 
 
 def _fundamental_walk(edge: Edge, parents: list[int | None], depths: list[int]) -> Walk:

@@ -108,6 +108,9 @@ class StoreDescriptor:
 def compute_store(graph: MixedGraph, alpha: Phase, kind: MonographKind) -> StoreDescriptor:
     """Store of closed-walk values for a connected graph.
 
+    The paper's store: the group of h (first kind) or g (second kind) values
+    of closed walks at a vertex, trivial exactly on monographs of that kind.
+
     Raises ValueError on disconnected input; split into components first.
     """
     if graph.n == 0 or len(connected_components(graph)) != 1:
@@ -294,7 +297,10 @@ def negated_spectrum_check(
     graph: MixedGraph, alpha: Phase, tol: float = DEFAULT_TOL
 ) -> bool:
     """For a second-kind monograph: does negating the underlying spectrum give
-    the phase spectrum?  Compared within ``tol``."""
+    the phase spectrum?  Compared within ``tol``.
+
+    The paper's spectral claim for second-kind monographs (acceptance check 5).
+    """
     cert = is_monograph(graph, alpha, MonographKind.SECOND)
     if not cert.verdict:
         assert cert.violation is not None
@@ -359,7 +365,10 @@ def extend_monograph(
             raise ValueError(
                 f"base subgraph must be undirected, found arc ({e.u}, {e.v}) inside it"
             )
-    if not _induced_connected(base, inside):
+    # connected exactly when the induced subgraph's spanning forest puts
+    # every base vertex under one root
+    roots = MixedGraph(graph.n, frozenset(inside)).cycle_basis.roots
+    if len({roots[v] for v in base}) != 1:
         raise ValueError("base vertex set does not induce a connected subgraph")
     new_edges = set(graph.edges)
     next_id = graph.n
@@ -377,26 +386,6 @@ def extend_monograph(
     grown = MixedGraph(next_id, frozenset(new_edges))
     assert is_monograph(grown, alpha, MonographKind.FIRST).verdict
     return grown
-
-
-def _induced_connected(base: list[int], inside: list[Edge]) -> bool:
-    index = {v: i for i, v in enumerate(base)}
-    adj: list[list[int]] = [[] for _ in base]
-    for e in inside:
-        adj[index[e.u]].append(index[e.v])
-        adj[index[e.v]].append(index[e.u])
-    seen = [False] * len(base)
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                stack.append(y)
-    return count == len(base)
 
 
 @dataclass(frozen=True)
@@ -448,5 +437,9 @@ def _no_power_is_minus_power(alpha: Phase) -> bool:
 
 def every_alpha_monograph(graph: MixedGraph) -> bool:
     """True when every fundamental cycle has arc balance zero, which makes the
-    graph a first-kind monograph for every choice of alpha."""
+    graph a first-kind monograph for every choice of alpha.
+
+    The paper's alpha-independent case: the phase matrix is then similar to
+    the underlying adjacency matrix whatever alpha is.
+    """
     return not any(graph.cycle_basis.cycle_balances)

@@ -29,13 +29,11 @@ from .errors import InvalidWalkError
 from .graphs import MixedGraph, Walk
 
 __all__ = [
-    "Rotation",
     "Phase",
     "ALPHA_ONE",
     "ALPHA_I",
     "ALPHA_GAMMA",
     "ALPHA_OMEGA",
-    "ROTATION_TOL",
     "make_alpha",
     "rotation_cos",
     "rotation_sin",
@@ -253,10 +251,18 @@ def arc_balance(graph: MixedGraph, walk: Walk) -> ArcBalance:
 
 
 def walk_value_h(graph: MixedGraph, alpha: Phase, walk: Walk) -> Phase:
-    """Product of matrix entries along the walk; equals alpha**balance."""
+    """Product of matrix entries along the walk; equals alpha**balance.
+
+    The paper's h value of a walk, whose triviality on every cycle defines a
+    first-kind monograph; acceptance check 3 takes it as the reference.
+    """
     return alpha.walk_value(*arc_balance(graph, walk), signed=False)
 
 
 def walk_value_g(graph: MixedGraph, alpha: Phase, walk: Walk) -> Phase:
-    """The signed walk value: (-1) per edge times the plain walk value."""
+    """The signed walk value: (-1) per edge times the plain walk value.
+
+    The paper's g value of a walk, whose triviality on every cycle defines a
+    second-kind monograph; acceptance check 3 takes it as the reference.
+    """
     return alpha.walk_value(*arc_balance(graph, walk), signed=True)

@@ -10,6 +10,7 @@ import math
 import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,25 @@ class TestTransfer:
         code = main(["transfer", "--alpha", "gamma", "--basis", str(basis_path), dc3_file])
         assert code == 2
         assert "fails verification" in capsys.readouterr().err
+
+    def test_basis_entries_near_the_float_limit(self, capsys, tmp_path, uc3_file):
+        # the entries' sum of squares overflows; the vector is scaled, not
+        # taken for zero, and then verified like any other
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text(json.dumps([{"lambda": 2.0, "vector": [1e308] * 3}]))
+        path_file = tmp_path / "p3.mg"
+        path_file.write_text("3\n0 -- 1\n1 -- 2\n")
+        argv = ["transfer", "--alpha", "gamma", "--basis", str(basis_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            moved = run_json(capsys, argv + [uc3_file])
+            code = main(argv + [str(path_file)])
+        assert moved["pairs"][0]["vector"] == [[0.57735026919, 0.0]] * 3
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: basis pair with eigenvalue 2 fails verification against the "
+            "underlying graph (residual 5.774e-01)"
+        ]
 
     def test_malformed_basis_json(self, capsys, tmp_path, dc3_file):
         basis_path = tmp_path / "basis.json"

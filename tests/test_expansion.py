@@ -17,20 +17,18 @@ from hermix import (
     ALPHA_ONE,
     Edge,
     EdgeKind,
-    ElementarySubgraph,
     MixedGraph,
     ScaleLimitError,
+    Walk,
     arc_balance,
     build_hermitian,
     char_poly_expansion,
     eigen_decomposition,
-    enumerate_elementary,
     enumerate_mixed_graphs,
     enumerate_simple_cycles,
     make_alpha,
     mixed_graph_from_code,
     rotation_cos,
-    subgraph_term,
 )
 from hermix.expansion import _term_profile
 
@@ -50,51 +48,46 @@ PROFILE_ALPHAS = tuple(
 
 
 class TestEnumerateElementary:
+    """The elementary subgraphs of the coefficient theorem, as the term
+    profile counts them: per cover size k, (r, sorted cycle balances)."""
+
     def test_k0_is_empty_packing(self, uc3):
-        subs = enumerate_elementary(uc3, 0)
-        assert len(subs) == 1
-        assert subs[0].p2_edges == ()
-        assert subs[0].cycles == ()
+        assert _term_profile(uc3)[0] == {(0, ()): 1}
 
     def test_k1_none(self, uc3):
-        assert enumerate_elementary(uc3, 1) == ()
+        assert _term_profile(uc3)[1] == {}
 
     def test_uc3_k2(self, uc3):
-        subs = enumerate_elementary(uc3, 2)
-        assert len(subs) == 3
-        assert all(len(s.p2_edges) == 1 and not s.cycles for s in subs)
+        # three single edges, each two vertices in one component
+        assert _term_profile(uc3)[2] == {(1, ()): 3}
 
     def test_uc3_k3(self, uc3):
-        subs = enumerate_elementary(uc3, 3)
-        assert len(subs) == 1
-        assert subs[0].cycles[0].edge_count == 3
+        # the all-digon triangle alone: three vertices in one component
+        assert _term_profile(uc3)[3] == {(2, (0,)): 1}
 
     def test_k4_k4(self):
         rng = random.Random(19)
         g = complete_mixed(4, rng)
-        subs = enumerate_elementary(g, 4)
-        assert len(subs) == 6
-        matchings = [s for s in subs if len(s.p2_edges) == 2]
-        quads = [s for s in subs if s.cycles and s.cycles[0].edge_count == 4]
-        assert len(matchings) == 3
-        assert len(quads) == 3
+        top = dict(_term_profile(g)[4])
+        assert top.pop((2, ())) == 3
+        # the rest are the three four-cycles, one component each
+        assert sum(top.values()) == 3
+        assert all(r == 3 and len(balances) == 1 for r, balances in top)
 
-    def test_rank_data(self, uc3):
-        tri = enumerate_elementary(uc3, 3)[0]
-        assert tri.rank_data == (2, 1)
-        edge = enumerate_elementary(uc3, 2)[0]
-        assert edge.rank_data == (1, 0)
+    def test_rank_data(self):
+        # a triangle beside an edge: r is k minus the components of the packing
+        g = MixedGraph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)], [])
+        prof = _term_profile(g)
+        assert prof[4] == {(2, ()): 3}
+        assert prof[5] == {(3, (0,)): 1}
 
     def test_k_out_of_range(self, uc3):
-        with pytest.raises(ValueError):
-            enumerate_elementary(uc3, -1)
-        with pytest.raises(ValueError):
-            enumerate_elementary(uc3, 4)
+        # one entry per cover size 0..n and none beyond
+        assert len(_term_profile(uc3)) == uc3.n + 1
+        assert _term_profile(MixedGraph(0, frozenset())) == ({(0, ()): 1},)
 
     def test_scale_guard(self):
         big = MixedGraph(13, frozenset())
-        with pytest.raises(ScaleLimitError):
-            enumerate_elementary(big, 0)
         with pytest.raises(ScaleLimitError):
             char_poly_expansion(big, ALPHA_I)
 
@@ -106,41 +99,42 @@ class TestEnumerateElementary:
         # dense graphs, where most items of a bucket collide with a packing
         graphs += [complete_mixed(6, rng), random_mixed_graph(rng, 7, edge_prob=0.8)]
         for g in graphs:
-            expected = _count_elementary_by_edges(g)
-            for k in range(g.n + 1):
-                got = enumerate_elementary(g, k)
-                assert len(got) == expected[k]
-                assert all(len(s.vertex_set) == k for s in got)
-                assert len(set(got)) == len(got)
+            assert _term_profile(g) == _brute_force_profile(g)
 
 
-def _count_elementary_by_edges(g: MixedGraph) -> list[int]:
-    """Independent count per covered vertex count k: edge subsets whose
-    components are P2 or cycles.  Every vertex of such a subset has degree 1
-    or 2, so it has at most n edges."""
+def _brute_force_profile(g: MixedGraph) -> tuple[dict, ...]:
+    """Independent term profile over edge subsets whose components are single
+    edges or simple cycles: per covered vertex count k, how many have each
+    r = k - #components and sorted cycle balances.  Every vertex of such a
+    subset has degree 1 or 2, so it has at most n edges.  A cycle is walked
+    from its lowest vertex towards the smaller of that vertex's two
+    neighbors, the traversal ``enumerate_simple_cycles`` reports."""
     edges = [e.pair for e in g.sorted_edges]
-    counts = [0] * (g.n + 1)
-    for r in range(min(len(edges), g.n) + 1):
-        for subset in itertools.combinations(edges, r):
-            degree: dict[int, int] = {}
-            for u, v in subset:
-                degree[u] = degree.get(u, 0) + 1
-                degree[v] = degree.get(v, 0) + 1
-            if subset and not all(d in (1, 2) for d in degree.values()):
+    prof: list[Counter] = [Counter() for _ in range(g.n + 1)]
+    for size in range(min(len(edges), g.n) + 1):
+        for subset in itertools.combinations(edges, size):
+            comps = _elementary_components(subset)
+            if comps is None:
                 continue
-            if not _components_are_elementary(subset):
-                continue
-            counts[len(degree)] += 1
-    return counts
+            k = sum(len(adj) for adj in comps)
+            balances = tuple(
+                sorted(arc_balance(g, _cycle_walk(adj)).balance for adj in comps if len(adj) > 2)
+            )
+            prof[k][k - len(comps), balances] += 1
+    return tuple(dict(c) for c in prof)
 
 
-def _components_are_elementary(subset: tuple[tuple[int, int], ...]) -> bool:
-    # each connected component must be a single edge or a simple cycle
+def _elementary_components(
+    subset: tuple[tuple[int, int], ...],
+) -> list[dict[int, list[int]]] | None:
+    """The components of an edge subset as adjacency maps, or None unless
+    each one is a single edge or a simple cycle."""
     adj: dict[int, list[int]] = {}
     for u, v in subset:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
     seen: set[int] = set()
+    comps = []
     for start in adj:
         if start in seen:
             continue
@@ -152,14 +146,24 @@ def _components_are_elementary(subset: tuple[tuple[int, int], ...]) -> bool:
             comp.add(x)
             stack.extend(adj[x])
         seen |= comp
-        comp_edges = sum(1 for u, v in subset if u in comp)
-        degs = {len(adj[x]) for x in comp}
-        if comp_edges == 1 and degs == {1}:
-            continue
-        if comp_edges == len(comp) and degs == {2}:
-            continue
-        return False
-    return True
+        # two vertices are a single edge; a larger component must be a
+        # cycle, which is exactly a connected one with every degree 2
+        if len(comp) > 2 and any(len(adj[x]) != 2 for x in comp):
+            return None
+        comps.append({x: adj[x] for x in comp})
+    return comps
+
+
+def _cycle_walk(adj: dict[int, list[int]]) -> Walk:
+    """The closed walk of a cycle component: from its lowest vertex to the
+    smaller of that vertex's neighbors, then on round the cycle."""
+    start = min(adj)
+    seq = [start]
+    prev, cur = start, min(adj[start])
+    while cur != start:
+        seq.append(cur)
+        prev, cur = cur, next(w for w in adj[cur] if w != prev)
+    return Walk((*seq, start))
 
 
 def _connected_with_cycles(rng: random.Random, n: int, cycles: int) -> MixedGraph:
@@ -171,36 +175,6 @@ def _connected_with_cycles(rng: random.Random, n: int, cycles: int) -> MixedGrap
     for u, v in rng.sample(free, cycles):
         extra.append(rng.choice([Edge.digon(u, v), Edge.arc(u, v), Edge.arc(v, u)]))
     return MixedGraph(n, tree.edges | frozenset(extra))
-
-
-class TestSubgraphTerm:
-    def test_single_edge_term(self, uc3):
-        sub = enumerate_elementary(uc3, 2)[0]
-        assert subgraph_term(uc3, ALPHA_GAMMA, sub) == -1.0
-
-    def test_triangle_term_depends_on_alpha(self, dc3):
-        tri = enumerate_elementary(dc3, 3)[0]
-        # balance 3: gamma gives Re(1) with r=2, s=1 -> +2; i gives Re(-i)=0
-        assert subgraph_term(dc3, ALPHA_GAMMA, tri) == pytest.approx(2.0)
-        assert subgraph_term(dc3, ALPHA_I, tri) == pytest.approx(0.0)
-
-    def test_direction_independent(self):
-        rng = random.Random(59)
-        for _ in range(10):
-            g = random_mixed_graph(rng, rng.randrange(3, 6), edge_prob=0.7)
-            for k in range(3, g.n + 1):
-                for sub in enumerate_elementary(g, k):
-                    if not sub.cycles:
-                        continue
-                    flipped = ElementarySubgraph(
-                        sub.p2_edges,
-                        tuple(c.reversed() for c in sub.cycles),
-                        sub.vertex_set,
-                    )
-                    for alpha in ALPHAS:
-                        a = subgraph_term(g, alpha, sub)
-                        b = subgraph_term(g, alpha, flipped)
-                        assert math.isclose(a, b, abs_tol=1e-12)
 
 
 class TestCharPolyExpansion:
@@ -325,17 +299,6 @@ class TestTermProfile:
             for c in enumerate_simple_cycles(g, g.n):
                 assert c.balance == arc_balance(g, c.walk).balance
                 assert c.mask == sum(1 << v for v in set(c.vertices))
-
-    def test_listing_counts_match_profile(self):
-        rng = random.Random(311)
-        for g in (complete_mixed(5, rng), _connected_with_cycles(rng, 7, 4)):
-            profile = _term_profile(g)
-            for k in range(g.n + 1):
-                listed: Counter = Counter()
-                for sub in enumerate_elementary(g, k):
-                    balances = tuple(sorted(arc_balance(g, c).balance for c in sub.cycles))
-                    listed[sub.rank_data.r, balances] += 1
-                assert dict(listed) == profile[k]
 
 
 @pytest.mark.slow

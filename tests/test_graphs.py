@@ -28,7 +28,6 @@ from hermix import (
     parse_graph,
     radius_equality_analysis,
     serialize_graph,
-    underlying,
 )
 
 from conftest import complete_mixed, random_mixed_graph
@@ -149,10 +148,6 @@ class TestComponents:
         g = MixedGraph.from_edges(5, [(0, 2)], [(3, 4)])
         assert connected_components(g) == ((0, 2), (1,), (3, 4))
 
-    def test_underlying(self, ac4):
-        skel = underlying(ac4)
-        assert skel.edges == frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
-
 
 class TestFundamentalCycles:
     def test_dc3_cycle_walk(self, dc3):
@@ -191,7 +186,9 @@ class TestFundamentalCycles:
             g = random_mixed_graph(rng, rng.randrange(1, 8))
             basis = fundamental_cycles(g)
             c = len(connected_components(g))
-            assert len(basis.tree_edges) == g.n - c
+            tree = [(v, p) for v, p in enumerate(basis.parents) if p is not None]
+            assert len(tree) == g.n - c
+            assert all(g.pair_code(v, p) is not None for v, p in tree)
             assert sum(1 for p in basis.parents if p is None) == c
 
     def test_cycle_basis_is_built_once_per_graph(self, monkeypatch, k4x):
@@ -251,8 +248,7 @@ def test_forest_gauge_matches_walks():
 
 def brute_force_simple_cycles(g, max_len: int) -> set[tuple[int, ...]]:
     """Independent enumeration: permutations per vertex subset."""
-    skel = underlying(g)
-    adjacent = {frozenset(e) for e in skel.edges}
+    adjacent = {frozenset(e.pair) for e in g.edges}
     found = set()
     for k in range(3, max_len + 1):
         for subset in itertools.combinations(range(g.n), k):

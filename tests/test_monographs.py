@@ -414,6 +414,15 @@ class TestExtend:
                 g, ALPHA_I, [0, 3], [Attachment(frozenset({0}), AttachDirection.OUT)]
             )
 
+    def test_base_must_induce_a_connected_subgraph(self):
+        # the path 0 -- 1 -- 2 is connected, but {0, 2} alone has no edge
+        path = MixedGraph.from_edges(3, [(0, 1), (1, 2)], [])
+        att = [Attachment(frozenset({0}), AttachDirection.OUT)]
+        with pytest.raises(ValueError, match="connected"):
+            extend_monograph(path, ALPHA_I, [0, 2], att)
+        for base in ([0], [0, 1], [0, 1, 2]):
+            assert extend_monograph(path, ALPHA_I, base, att).n == 4
+
     def test_rejects_bad_targets(self, uc3):
         with pytest.raises(ValueError, match="leave the base"):
             extend_monograph(

@@ -163,6 +163,19 @@ class TestVerifyEigenpair:
             with pytest.raises(ValueError, match="finite"):
                 EigenPair(1.0, [bad, 1, 1])
 
+    def test_norm_overflow_scaled_before_normalising(self):
+        # the sum of squares overflows although every entry is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = EigenPair(2.0, [1e308] * 3)
+            tilted = EigenPair(2.0, [1e308, -1e308j, 1.7e308 + 1.7e308j])
+        assert np.allclose(pair.vector, 1 / math.sqrt(3))
+        assert math.isclose(np.linalg.norm(tilted.vector), 1.0)
+
+    def test_ordinary_vector_normalised_bit_for_bit(self):
+        v = np.array([0.3 + 0.4j, -1.2, 2.5j, 1e-300])
+        assert EigenPair(1.0, v).vector.tobytes() == (v / np.linalg.norm(v)).tobytes()
+
     def test_nan_is_not_a_zero_residual(self, uc3):
         pair = EigenPair(math.nan, np.ones(3, dtype=complex))
         assert math.isnan(verify_eigenpair(uc3, ALPHA_ONE, pair))
