@@ -20,16 +20,23 @@ The search helpers enumerate mixed graphs by a base-4 code over the vertex
 pairs in lexicographic order: 0 no edge, 1 digon, 2 arc low to high, 3 arc
 high to low.
 
+One verdict serves :func:`numeric_cospectral` and the search alike: it
+takes a stack of matrices per phase and the structural flags of each graph,
+and runs its checks (whose kernels live in ``spectra``) stage by stage: the
+eigen residual under the first phase, then the second, the characteristic
+polynomial under the first phase (imaginary residue, then the cross-check
+against the eigenvalues), then the second, and last the structural guard.
+The first stage that fails raises NumericalError for its lowest failing
+graph, before any later stage runs.  ``numeric_cospectral`` hands it a stack
+of one, with the flags read from the graph's cycle basis.
+
 The search never builds a graph per code.  It scans codes in fixed chunks of
-``SEARCH_CHUNK``: digits are decoded into stacks of Hermitian matrices, each
-phase's stack goes through one batched eigensolve and one batched trace
-recursion, and every check of :func:`numeric_cospectral` runs on every
-graph of the chunk (the checks themselves live in ``spectra``).  The four
-structural flags come from one vectorised union-find sweep over the vertex
-pairs, which closes each fundamental cycle with a known arc balance and
-length parity; the structural guard then runs on the whole chunk.  Only the
-hits become :class:`MixedGraph` objects.  Exhaustive search stops at
-``MAX_EXHAUSTIVE_VERTICES`` = 5 vertices and random search at
+``SEARCH_CHUNK``: digits are decoded into stacks of Hermitian matrices, one
+per phase, and the four structural flags come from one vectorised union-find
+sweep over the vertex pairs, which closes each fundamental cycle with a
+known arc balance and length parity; the verdict then runs on the whole
+chunk.  Only the hits become :class:`MixedGraph` objects.  Exhaustive search
+stops at ``MAX_EXHAUSTIVE_VERTICES`` = 5 vertices and random search at
 ``MAX_RANDOM_VERTICES`` = 8, the last n whose 4**pairs codes fit a 64-bit
 index.
 """
@@ -37,9 +44,9 @@ index.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,12 +59,10 @@ from .spectra import (
     _char_poly_checked,
     _Check,
     _eigh_checked,
-    _first_failure,
     _graph_source,
     _matrix_checks,
+    _raise_first,
     build_hermitian,
-    char_poly,
-    eigen_decomposition,
 )
 
 __all__ = [
@@ -78,9 +83,6 @@ MAX_RANDOM_VERTICES = 8
 SEARCH_CHUNK = 512
 
 _SIXTH_PAIR = {Fraction(1, 3), Fraction(1, 6)}
-
-# one structural flag: of one graph, or of each graph in a chunk
-_Flag = Union[bool, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -142,11 +144,6 @@ def oriented_bipartite(graph: MixedGraph) -> bool:
     return all(w.edge_count % 2 == 0 for w in graph.cycle_basis.cycles)
 
 
-def _is_tree_like(graph: MixedGraph) -> bool:
-    # forests count: no fundamental cycles at all
-    return not graph.cycle_basis.cycles
-
-
 def _same_kind_both(graph: MixedGraph, alpha1: Phase, alpha2: Phase) -> bool:
     for kind in (MonographKind.FIRST, MonographKind.SECOND):
         if (
@@ -155,17 +152,6 @@ def _same_kind_both(graph: MixedGraph, alpha1: Phase, alpha2: Phase) -> bool:
         ):
             return True
     return False
-
-
-def _structural_flags(
-    graph: MixedGraph, alpha1: Phase, alpha2: Phase
-) -> StructuralFlags:
-    return StructuralFlags(
-        even_arc_condition=even_arc_condition(graph),
-        oriented_bipartite=oriented_bipartite(graph),
-        tree=_is_tree_like(graph),
-        monograph_both=_same_kind_both(graph, alpha1, alpha2),
-    )
 
 
 def numeric_cospectral(
@@ -181,59 +167,70 @@ def numeric_cospectral(
     sufficient condition promises cospectrality but the numbers disagree, a
     NumericalError is raised; a sound implementation never reaches it.
     """
-    m1 = build_hermitian(graph, alpha1)
-    m2 = build_hermitian(graph, alpha2)
-    spec1, _ = eigen_decomposition(m1)
-    spec2, _ = eigen_decomposition(m2)
-    spec_gap = (
-        max(abs(a - b) for a, b in zip(spec1.values, spec2.values))
-        if graph.n
-        else 0.0
+    stacks = [build_hermitian(graph, a).entries[None] for a in (alpha1, alpha2)]
+    flags = StructuralFlags(
+        even_arc_condition=even_arc_condition(graph),
+        oriented_bipartite=oriented_bipartite(graph),
+        tree=not graph.cycle_basis.cycles,
+        monograph_both=_same_kind_both(graph, alpha1, alpha2),
     )
-    p1 = char_poly(m1, spec1)
-    p2 = char_poly(m2, spec2)
-    coeff_gap = (
-        max(abs(a - b) for a, b in zip(p1.coefficients, p2.coefficients))
-        if graph.n
-        else 0.0
+    max_gap = _checked_gaps(
+        stacks,
+        [np.array([f]) for f in astuple(flags)],
+        (alpha1, alpha2),
+        tol,
+        lambda _, alphas: _graph_source(graph, *alphas),
     )
-    max_gap = max(spec_gap, coeff_gap)
-    cospectral = max_gap <= tol
-    flags = _structural_flags(graph, alpha1, alpha2)
-    promised = _promised(
-        alpha1,
-        alpha2,
-        flags.tree,
-        flags.even_arc_condition,
-        flags.oriented_bipartite,
-        flags.monograph_both,
+    gap = float(max_gap[0])
+    return CospectralReport(alpha1, alpha2, gap <= tol, gap, flags)
+
+
+def _checked_gaps(
+    stacks: Sequence[np.ndarray],
+    flags: Sequence[np.ndarray],
+    alphas: tuple[Phase, Phase],
+    tol: float,
+    source: Callable[[int, tuple[Phase, ...]], str],
+) -> np.ndarray:
+    """The cospectral verdict: the largest eigenvalue or characteristic
+    coefficient gap of each graph, whose matrices under the two ``alphas``
+    are ``stacks``, after every numeric check and the structural guard.
+
+    ``flags`` holds the fields of :class:`StructuralFlags`, in order, as
+    boolean arrays over the graphs.  The stages run in order: the eigen
+    residual under each phase, the polynomial under each phase, the guard.
+    The first one that fails raises NumericalError for its lowest failing
+    graph, named by ``source`` from the graph's index and the phases the
+    stage concerns.
+    """
+    spectra = []
+    for a, alpha in zip(stacks, alphas):
+        evals, _, residual = _eigh_checked(a)
+        _raise_first([residual], NumericalError, lambda i: source(i, (alpha,)))
+        spectra.append(evals)
+    polys = []
+    for a, evals, alpha in zip(stacks, spectra, alphas):
+        coeffs, checks = _char_poly_checked(a, evals[:, ::-1])
+        _raise_first(checks, NumericalError, lambda i: source(i, (alpha,)))
+        polys.append(coeffs)
+    max_gap = np.maximum(
+        np.max(np.abs(spectra[0] - spectra[1]), axis=-1, initial=0.0),
+        np.max(np.abs(polys[0] - polys[1]), axis=-1, initial=0.0),
     )
-    if promised and not cospectral:
-        raise NumericalError(
-            f"structural guard failed on {_graph_source(graph, alpha1, alpha2)}: "
-            f"{_guard_message(max_gap)}"
-        )
-    return CospectralReport(alpha1, alpha2, cospectral, max_gap, flags)
-
-
-def _promised(
-    alpha1: Phase,
-    alpha2: Phase,
-    tree: _Flag,
-    even_arc: _Flag,
-    bipartite: _Flag,
-    monograph_both: _Flag,
-) -> _Flag:
-    """Whether the structural flags promise cospectrality: a forest always,
-    even arc parity or oriented bipartiteness for the two sixth-turn phases,
-    and a monograph of one kind under both phases.  Takes booleans or
-    boolean arrays alike."""
-    sixth_pair = {alpha1.rotation, alpha2.rotation} == _SIXTH_PAIR
-    return tree | (sixth_pair & (even_arc | bipartite)) | monograph_both
-
-
-def _guard_message(max_gap: float) -> str:
-    return f"structural condition promises cospectrality but max gap is {max_gap:.3e}"
+    # cospectrality is promised by a forest always, by even arc parity or
+    # oriented bipartiteness for the two sixth-turn phases, and by a
+    # monograph of one kind under both phases
+    even_arc, bipartite, tree, monograph_both = flags
+    sixth_pair = {a.rotation for a in alphas} == _SIXTH_PAIR
+    promised = tree | (sixth_pair & (even_arc | bipartite)) | monograph_both
+    guard = _Check(
+        "structural guard",
+        promised & ~(max_gap <= tol),
+        lambda i: "structural condition promises cospectrality but max gap is "
+        f"{max_gap[i]:.3e}",
+    )
+    _raise_first([guard], NumericalError, lambda i: source(i, alphas))
+    return max_gap
 
 
 def mixed_graph_from_code(n: int, code: int) -> MixedGraph:
@@ -301,10 +298,10 @@ def search_cospectral(
     report equal to :func:`numeric_cospectral` on that graph.
 
     Codes are scanned in chunks of ``SEARCH_CHUNK``, one chunk at a time as
-    the stream is read, with every check of :func:`numeric_cospectral`
-    applied to every graph; the first graph that fails one raises
-    NumericalError, when its chunk is reached, naming its code, n, both
-    phases and the failing stage.
+    the stream is read, through the verdict of :func:`numeric_cospectral`;
+    when its chunk is reached, the lowest failing code of the first failing
+    stage raises NumericalError naming the code, n, both phases and the
+    stage.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -345,8 +342,9 @@ _DIGIT_STEP = np.array([0, 0, 1, -1])
 
 
 class _ChunkScan:
-    """The batched form of :func:`numeric_cospectral` for codes on ``n``
-    vertices under one pair of phases."""
+    """The search's scan of codes on ``n`` vertices under one pair of phases:
+    the matrix stacks and flags of a chunk, run through the same verdict as
+    :func:`numeric_cospectral`."""
 
     def __init__(self, n: int, alpha1: Phase, alpha2: Phase, tol: float) -> None:
         self.n = n
@@ -379,48 +377,23 @@ class _ChunkScan:
     def __call__(self, codes: np.ndarray) -> list[tuple[int, CospectralReport]]:
         """Positions in ``codes`` of the hits, with their reports."""
         n = self.n
+        a1, a2 = self.alphas
         digits = (codes[:, None] // self.place) % 4
-        checks: list[_Check] = []
+
+        def source(i: int, _: tuple[Phase, ...]) -> str:
+            return f"code {int(codes[i])} (n={n}, alphas {a1} and {a2})"
+
         stacks = []
         for above, below in zip(self.above, self.below):
             a = np.zeros((len(codes), n, n), dtype=np.complex128)
             a[:, self.low, self.high] = above[digits]
             a[:, self.high, self.low] = below[digits]
-            checks += _matrix_checks(a)
+            _raise_first(
+                _matrix_checks(a), NumericalError, lambda i: source(i, self.alphas)
+            )
             stacks.append(a)
-        spectra = []
-        for a in stacks:
-            evals, _, residual = _eigh_checked(a)
-            checks.append(residual)
-            spectra.append(evals)
-        polys = []
-        for a, evals in zip(stacks, spectra):
-            coeffs, poly_checks = _char_poly_checked(a, evals[:, ::-1])
-            checks += poly_checks
-            polys.append(coeffs)
-        max_gap = np.maximum(
-            np.max(np.abs(spectra[0] - spectra[1]), axis=-1, initial=0.0),
-            np.max(np.abs(polys[0] - polys[1]), axis=-1, initial=0.0),
-        )
-        cospectral = max_gap <= self.tol
         flags = self._flags(digits)
-        promised = _promised(*self.alphas, *flags)
-        checks.append(
-            _Check(
-                "structural guard",
-                promised & ~cospectral,
-                lambda i: _guard_message(max_gap[i]),
-            )
-        )
-        failure = _first_failure(checks)
-        if failure is not None:
-            i, check = failure
-            a1, a2 = self.alphas
-            raise NumericalError(
-                f"{check.stage} failed on code {int(codes[i])} (n={n}, alphas "
-                f"{a1} and {a2}): {check.message(i)}"
-            )
-        tree, even_arc, bipartite, monograph_both = flags
+        max_gap = _checked_gaps(stacks, flags, self.alphas, self.tol, source)
         return [
             (
                 i,
@@ -428,19 +401,15 @@ class _ChunkScan:
                     *self.alphas,
                     True,
                     float(max_gap[i]),
-                    StructuralFlags(
-                        even_arc_condition=bool(even_arc[i]),
-                        oriented_bipartite=bool(bipartite[i]),
-                        tree=bool(tree[i]),
-                        monograph_both=bool(monograph_both[i]),
-                    ),
+                    StructuralFlags(*(bool(f[i]) for f in flags)),
                 ),
             )
-            for i in map(int, np.flatnonzero(cospectral))
+            for i in map(int, np.flatnonzero(max_gap <= self.tol))
         ]
 
     def _flags(self, digits: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Tree, even arc, oriented bipartite and shared monograph kind.
+        """Even arc, oriented bipartite, tree and shared monograph kind, the
+        fields of :class:`StructuralFlags` in order.
 
         Union-find over the pairs in code order keeps, per vertex, its root
         and the arc balance and length parity of a tree walk from the root.
@@ -474,8 +443,8 @@ class _ChunkScan:
         mono = ~nontrivial
         digon = np.any(digits == 1, axis=-1)
         return (
-            ~cyclic,
             ~odd_arcs,
             ~(digon | odd_length),
+            ~cyclic,
             (mono[0, 0] & mono[1, 0]) | (mono[0, 1] & mono[1, 1]),
         )

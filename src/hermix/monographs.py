@@ -357,9 +357,7 @@ def extend_monograph(
     if not cert.verdict:
         raise NotMonographError("extension requires a first-kind monograph")
     base_set = set(base)
-    inside = [
-        e for e in graph.edges if e.u in base_set and e.v in base_set
-    ]
+    inside = [e for e in graph.sorted_edges if e.u in base_set and e.v in base_set]
     for e in inside:
         if e.kind is not EdgeKind.DIGON:
             raise ValueError(

@@ -13,8 +13,8 @@ check.
 Tolerances used across the package are centralized here, and so is every
 consistency check on a matrix, its eigenpairs and its polynomial.  Each
 check is written once, over a stack of matrices: the single-matrix functions
-run it on a stack of one, and the batched cospectral search on whole chunks
-of graphs.
+run it on a stack of one, and the cospectral verdict on one graph or on a
+whole chunk of a search.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ EIGEN_RESIDUAL_TOL = 1e-9
 COEFF_TOL = 1e-8
 # default comparison tolerance for spectra and reports
 DEFAULT_TOL = 1e-8
-# slack allowed on the degree bound of the spectral radius
-RADIUS_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +66,7 @@ class HermitianMatrix:
         a = np.array(self.entries, dtype=np.complex128)
         if a.shape != (self.n, self.n):
             raise ValueError(f"expected a {self.n}x{self.n} matrix, got shape {a.shape}")
-        _raise_first(_matrix_checks(a[None]), ValueError, self.source)
+        _raise_first(_matrix_checks(a[None]), ValueError, lambda _: self.source)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -82,24 +80,21 @@ class _Check(NamedTuple):
     message: Callable[[int], str]
 
 
-def _first_failure(checks: Iterable[_Check]) -> tuple[int, _Check] | None:
-    """The lowest failing stack index and the check it failed; when one
-    matrix fails several checks, the one listed first wins."""
+def _raise_first(
+    checks: Iterable[_Check], error: type[Exception], source: Callable[[int], str]
+) -> None:
+    """Raise ``error`` for the lowest failing stack index, naming the stage
+    and ``source`` of that index; when one matrix fails several checks, the
+    one listed first wins."""
     first: tuple[int, _Check] | None = None
     for check in checks:
         if check.failed.any():
             i = int(check.failed.argmax())
             if first is None or i < first[0]:
                 first = (i, check)
-    return first
-
-
-def _raise_first(checks: Iterable[_Check], error: type[Exception], source: str) -> None:
-    """Raise ``error`` for the first failure, naming its stage and ``source``."""
-    hit = _first_failure(checks)
-    if hit is not None:
-        i, check = hit
-        raise error(f"{check.stage} failed on {source}: {check.message(i)}")
+    if first is not None:
+        i, check = first
+        raise error(f"{check.stage} failed on {source(i)}: {check.message(i)}")
 
 
 def _graph_source(graph: MixedGraph, *alphas: Phase) -> str:
@@ -292,7 +287,7 @@ def eigen_decomposition(matrix: HermitianMatrix) -> tuple[Spectrum, list[EigenPa
     if n == 0:
         return Spectrum(()), []
     evals, evecs, check = _eigh_checked(matrix.entries[None])
-    _raise_first([check], NumericalError, matrix.source)
+    _raise_first([check], NumericalError, lambda _: matrix.source)
     pairs = [EigenPair(evals[0, j], evecs[0, :, j]) for j in range(n - 1, -1, -1)]
     # one source of truth: the spectrum lists exactly the pair eigenvalues,
     # so degenerate eigenvalues agree to the bit across both views
@@ -314,7 +309,7 @@ def char_poly(matrix: HermitianMatrix, spectrum: Spectrum) -> CharPoly:
     if n == 0:
         return CharPoly(())
     real, checks = _char_poly_checked(matrix.entries[None], np.array([spectrum.values]))
-    _raise_first(checks, NumericalError, matrix.source)
+    _raise_first(checks, NumericalError, lambda _: matrix.source)
     return CharPoly(tuple(real[0]))
 
 

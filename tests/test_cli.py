@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -417,6 +418,23 @@ class TestExtend:
             ["extend", "--alpha", "i", "--subgraph", "0", "--attach", "0 out", dc3_file]
         )
         assert code == 2
+
+    def test_arc_in_base_named_independent_of_hash_seed(self, tmp_path):
+        # the edge set is a frozenset, whose order follows the string hash
+        # of the edge kinds; the error must name the lowest pair all the same
+        path = tmp_path / "arcs.mg"
+        path.write_text("4\n0 -> 1\n1 -> 2\n2 -> 3\n0 -> 3\n0 -> 2\n")
+        argv = [sys.executable, "-m", "hermix", "extend", "--alpha", "1",
+                "--subgraph", "0,1,2,3", "--attach", "0 out", str(path)]
+        errors = set()
+        for seed in ("1", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+            assert proc.returncode == 2
+            errors.add(proc.stderr)
+        assert errors == {
+            "error: base subgraph must be undirected, found arc (0, 1) inside it\n"
+        }
 
 
 class TestRadius:

@@ -15,13 +15,19 @@ from hermix import (
     ALPHA_ONE,
     EdgeKind,
     MixedGraph,
+    MonographKind,
     NumericalError,
     ScaleLimitError,
+    StructuralFlags,
+    build_hermitian,
+    char_poly,
     char_poly_expansion,
+    eigen_decomposition,
     enumerate_mixed_graphs,
     enumerate_simple_cycles,
     even_arc_condition,
     fundamental_cycles,
+    is_monograph,
     make_alpha,
     mixed_graph_from_code,
     numeric_cospectral,
@@ -165,6 +171,25 @@ class TestNumericCospectral:
         report = numeric_cospectral(ac4, ALPHA_GAMMA, ALPHA_OMEGA)
         assert report.max_gap <= 1e-9
 
+    def test_failing_stage_stops_the_verdict(self, monkeypatch, dc3):
+        # a negative budget fails the residue check of every polynomial; the
+        # first phase's failure raises before the second phase's recursion
+        monkeypatch.setattr("hermix.spectra.COEFF_TOL", -1.0)
+        calls = []
+        recursion = cospectral._char_poly_checked
+
+        def counting(a, roots):
+            calls.append(len(a))
+            return recursion(a, roots)
+
+        monkeypatch.setattr(cospectral, "_char_poly_checked", counting)
+        with pytest.raises(NumericalError) as err:
+            numeric_cospectral(dc3, ALPHA_I, ALPHA_GAMMA)
+        assert calls == [1]
+        assert str(err.value).startswith(
+            "char-poly residue failed on the graph (n=3, 3 edges, alpha root:1/4): "
+        )
+
 
 class TestEnumeration:
     def test_code_round_trip(self):
@@ -298,6 +323,44 @@ def per_graph(request):
         key: numeric_cospectral(mixed_graph_from_code(*key), a1, a2) for key in codes
     }
     return a1, a2, reports
+
+
+@pytest.mark.parametrize("pair", BATCH_PAIRS, ids="/".join)
+def test_numeric_cospectral_against_public_functions(pair):
+    """The verdict that ``numeric_cospectral`` shares with the search, against
+    the public single-matrix functions: the same kernels on both sides, so
+    the report's gap equals the larger of the spectrum and coefficient gaps
+    exactly, and its flags are the structural conditions read off the
+    graph and its fundamental cycles."""
+    a1, a2 = (make_alpha(spec) for spec in pair)
+    rng = random.Random(149)
+    for n in range(11):
+        for _ in range(10):
+            weights = (rng.choice((1, 4, 12)), 1, 1, 1)
+            digits = rng.choices(range(4), weights=weights, k=n * (n - 1) // 2)
+            g = mixed_graph_from_code(n, sum(d * 4**p for p, d in enumerate(digits)))
+            spectra, polys = [], []
+            for alpha in (a1, a2):
+                m = build_hermitian(g, alpha)
+                spectrum, _ = eigen_decomposition(m)
+                spectra.append(spectrum.values)
+                polys.append(char_poly(m, spectrum).coefficients)
+            gap = max(
+                max((abs(x - y) for x, y in zip(*spectra)), default=0.0),
+                max((abs(x - y) for x, y in zip(*polys)), default=0.0),
+            )
+            report = numeric_cospectral(g, a1, a2)
+            assert report.max_gap == gap, (n, g)
+            assert report.cospectral == (gap <= DEFAULT_TOL)
+            assert report.flags == StructuralFlags(
+                even_arc_condition=even_arc_condition(g),
+                oriented_bipartite=oriented_bipartite(g),
+                tree=not fundamental_cycles(g).cycles,
+                monograph_both=any(
+                    is_monograph(g, a1, kind).verdict and is_monograph(g, a2, kind).verdict
+                    for kind in MonographKind
+                ),
+            ), (n, g)
 
 
 class TestBatchedSearch:
