@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import NumericalError, ScaleLimitError
 from .graphs import Edge, EdgeKind, MixedGraph
-from .monographs import MonographKind, _is_trivial, is_monograph
+from .monographs import MonographKind, _keys, _rule, is_monograph
 from .phases import Phase
 from .spectra import (
     DEFAULT_TOL,
@@ -137,11 +137,12 @@ def oriented_bipartite(graph: MixedGraph) -> bool:
 
     Cycle length parity is linear over GF(2) in the fundamental basis too,
     and a graph is bipartite exactly when it has no odd cycle, so every
-    fundamental cycle must have an even number of edges.
+    fundamental cycle must have an even number of edges: every length parity
+    the spanning forest records must be 0.
     """
     if any(e.kind is EdgeKind.DIGON for e in graph.edges):
         return False
-    return all(w.edge_count % 2 == 0 for w in graph.cycle_basis.cycles)
+    return not any(graph.cycle_basis.cycle_parities)
 
 
 def _same_kind_both(graph: MixedGraph, alpha1: Phase, alpha2: Phase) -> bool:
@@ -171,7 +172,7 @@ def numeric_cospectral(
     flags = StructuralFlags(
         even_arc_condition=even_arc_condition(graph),
         oriented_bipartite=oriented_bipartite(graph),
-        tree=not graph.cycle_basis.cycles,
+        tree=not graph.cycle_basis.non_tree,
         monograph_both=_same_kind_both(graph, alpha1, alpha2),
     )
     max_gap = _checked_gaps(
@@ -364,7 +365,7 @@ class _ChunkScan:
             [
                 [
                     [
-                        [_is_trivial(a, kind, b, parity) for parity in (0, 1)]
+                        [key == 0 for key in _keys(_rule(a, kind), [b, b], (0, 1))]
                         for b in range(-self.span, self.span + 1)
                     ]
                     for kind in (MonographKind.FIRST, MonographKind.SECOND)

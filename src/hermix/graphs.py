@@ -13,7 +13,6 @@ functions of their arguments.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -212,28 +211,44 @@ class DegreeProfile(NamedTuple):
 
 @dataclass(frozen=True)
 class FundamentalCycleBasis:
-    """BFS spanning forest plus one closed walk per non-tree edge.
+    """BFS spanning forest plus its non-tree edges, one fundamental cycle each.
 
-    Component roots are the smallest vertex ids.  Each cycle starts at the
-    deepest common tree ancestor of its non-tree edge, runs down the tree to
-    one endpoint, crosses the non-tree edge, and climbs back.  ``parents``,
-    ``roots``, ``depths`` and ``balances`` describe the forest per vertex
-    (parent is None at roots): the tree path from the component root to a
-    vertex has ``depths[v]`` edges and arc balance ``balances[v]``, the
-    forward minus the backward arcs along it.
+    Component roots are the smallest vertex ids.  ``parents``, ``roots``,
+    ``depths`` and ``balances`` describe the forest per vertex (parent is
+    None at roots): the tree path from the component root to a vertex has
+    ``depths[v]`` edges and arc balance ``balances[v]``, the forward minus
+    the backward arcs along it.
 
-    ``cycle_balances[i]`` is the arc balance of ``cycles[i]``.  The two tree
-    paths cancel up to the branch point, so across its non-tree edge
-    ``u -> v`` the cycle's balance is
-    ``balances[u] + pair_code(u, v) - balances[v]``.
+    ``non_tree`` holds the non-tree edges in ``sorted_edges`` order, and the
+    i-th fundamental cycle is the one ``non_tree[i]`` closes.  Its arc
+    balance ``cycle_balances[i]`` and length parity ``cycle_parities[i]``
+    are recorded eagerly: the two tree paths cancel up to the branch point,
+    so across a non-tree edge ``u -> v`` the balance is
+    ``balances[u] + pair_code(u, v) - balances[v]`` and the parity is
+    ``(depths[u] + depths[v] + 1) % 2``.
+
+    The closed walks are built only on demand: :meth:`cycle` builds one,
+    :attr:`cycles` all of them, once.  Each starts at the deepest common
+    tree ancestor of its non-tree edge, runs down the tree to the edge's
+    stored tail, crosses the edge, and climbs back.
     """
 
-    cycles: tuple[Walk, ...]
+    non_tree: tuple[Edge, ...]
     parents: tuple[int | None, ...]
     roots: tuple[int, ...]
     depths: tuple[int, ...]
     balances: tuple[int, ...]
     cycle_balances: tuple[int, ...]
+    cycle_parities: tuple[int, ...]
+
+    def cycle(self, i: int) -> Walk:
+        """The closed walk of the i-th fundamental cycle."""
+        return _fundamental_walk(self.non_tree[i], self.parents, self.depths)
+
+    @cached_property
+    def cycles(self) -> tuple[Walk, ...]:
+        """Every fundamental cycle's closed walk, in ``non_tree`` order."""
+        return tuple(map(self.cycle, range(len(self.non_tree))))
 
 
 class SimpleCycle(NamedTuple):
@@ -262,6 +277,8 @@ def parse_graph(text: str) -> MixedGraph:
     n: int | None = None
     edges: list[Edge] = []
     seen: set[tuple[int, int]] = set()
+    # looked up once: reading an enum member off its class costs a method call
+    digon, arc = EdgeKind.DIGON, EdgeKind.ARC
     for idx, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -274,16 +291,17 @@ def parse_graph(text: str) -> MixedGraph:
         m = _EDGE_RE.match(line)
         if not m:
             raise GraphFormatError(f"line {idx}: malformed edge {raw.strip()!r}")
-        u, op, v = int(m.group(1)), m.group(2), int(m.group(3))
+        tail, op, head = m.groups()
+        u, v = int(tail), int(head)
         if u == v:
             raise GraphFormatError(f"line {idx}: loop at vertex {u}")
         if u >= n or v >= n:
             raise GraphFormatError(f"line {idx}: vertex id out of range for n={n}")
-        key = (min(u, v), max(u, v))
+        key = (u, v) if u < v else (v, u)
         if key in seen:
             raise GraphFormatError(f"line {idx}: second edge for pair {key}")
         seen.add(key)
-        edges.append(Edge.digon(u, v) if op == "--" else Edge.arc(u, v))
+        edges.append(Edge(*key, digon) if op == "--" else Edge(u, v, arc))
     if n is None:
         raise GraphFormatError("missing vertex count line")
     return MixedGraph(n, frozenset(edges))
@@ -323,42 +341,46 @@ def connected_components(graph: MixedGraph) -> tuple[tuple[int, ...], ...]:
 
 
 def fundamental_cycles(graph: MixedGraph) -> FundamentalCycleBasis:
-    """BFS spanning forest and the closed walk of every non-tree edge.
+    """BFS spanning forest, its non-tree edges and their cycles' balances
+    and length parities.
 
-    The number of cycles is ``|E| - n + #components``.  Each cycle contains
-    exactly one non-tree edge, traversed right after the tree path down to
-    the edge's stored tail, so the walk reads tree vertices first and closes
-    back at the branch point.
+    The number of cycles is ``|E| - n + #components``.  A pair is a tree
+    edge exactly when one end is the other's parent, since a pair carries
+    at most one edge.
     """
-    parents: list[int | None] = [None] * graph.n
-    roots = [-1] * graph.n
-    depths = [0] * graph.n
-    balances = [0] * graph.n
+    n = graph.n
+    parents: list[int | None] = [None] * n
+    roots = [-1] * n
+    depths = [0] * n
+    balances = [0] * n
     codes = graph._codes
-    tree_pairs: set[tuple[int, int]] = set()
-    for r in range(graph.n):
+    neighbors = graph._neighbors
+    for r in range(n):
         if roots[r] != -1:
             continue
         roots[r] = r
-        queue = deque([r])
-        while queue:
-            x = queue.popleft()
-            for y in graph.neighbors(x):
+        # a list read while it grows is the BFS queue
+        queue = [r]
+        for x in queue:
+            for y in neighbors[x]:
                 if roots[y] == -1:
                     roots[y] = r
                     parents[y] = x
                     depths[y] = depths[x] + 1
                     balances[y] = balances[x] + codes[x, y]
-                    tree_pairs.add((min(x, y), max(x, y)))
                     queue.append(y)
-    non_tree = [e for e in graph.sorted_edges if e.pair not in tree_pairs]
-    cycles = tuple(_fundamental_walk(e, parents, depths) for e in non_tree)
+    non_tree = tuple(
+        e for e in graph.sorted_edges if parents[e.u] != e.v and parents[e.v] != e.u
+    )
     cycle_balances = tuple(balances[e.u] + codes[e.u, e.v] - balances[e.v] for e in non_tree)
+    cycle_parities = tuple((depths[e.u] + depths[e.v] + 1) % 2 for e in non_tree)
     forest = (tuple(parents), tuple(roots), tuple(depths), tuple(balances))
-    return FundamentalCycleBasis(cycles, *forest, cycle_balances)
+    return FundamentalCycleBasis(non_tree, *forest, cycle_balances, cycle_parities)
 
 
-def _fundamental_walk(edge: Edge, parents: list[int | None], depths: list[int]) -> Walk:
+def _fundamental_walk(
+    edge: Edge, parents: tuple[int | None, ...], depths: tuple[int, ...]
+) -> Walk:
     up_a = [edge.u]
     up_b = [edge.v]
     x, y = edge.u, edge.v
@@ -384,7 +406,10 @@ def enumerate_simple_cycles(graph: MixedGraph, max_len: int) -> tuple[SimpleCycl
     A cycle is reported as a closed walk rooted at its smallest vertex with
     the second vertex smaller than the second-to-last, which fixes rotation
     and reflection.  Plain exhaustive backtracking, intended for the small
-    graphs the oracles run on.  The search carries the path's vertex mask
+    graphs the oracles run on; once the second vertex is fixed, the walk can
+    only close from a neighbour of the start above it, so a path stops
+    growing when all of those are on it, and each cycle is reached in one
+    direction only.  The search carries the path's vertex mask
     and arc balance as it extends the path, reading each step from the
     pair-code table that ``phases.arc_balance`` reads, so every cycle comes
     with both and no walk is looked up again.
@@ -394,21 +419,27 @@ def enumerate_simple_cycles(graph: MixedGraph, max_len: int) -> tuple[SimpleCycl
     out: list[SimpleCycle] = []
     codes = graph._codes
     steps = [tuple((w, codes[v, w]) for w in graph.neighbors(v)) for v in range(graph.n)]
+    adjacent = [sum(1 << w for w in graph.neighbors(v)) for v in range(graph.n)]
     path: list[int] = []
 
-    def extend(s: int, mask: int, balance: int) -> None:
+    def extend(s: int, ends: int, mask: int, balance: int) -> None:
+        # ``ends``: the start's neighbours above the second vertex, the only
+        # vertices the walk may close from; grow only while one is off the path
         last = path[-1]
+        grow = len(path) < max_len and ends & ~mask
         for w, code in steps[last]:
             if w == s:
                 if len(path) >= 3 and path[1] < last:
                     out.append(SimpleCycle((*path, s), mask, balance + code))
-            elif w > s and not mask >> w & 1 and len(path) < max_len:
+            elif grow and w > s and not mask >> w & 1:
                 path.append(w)
-                extend(s, mask | 1 << w, balance + code)
+                extend(s, ends, mask | 1 << w, balance + code)
                 path.pop()
 
     for s in range(graph.n):
-        path.clear()
-        path.append(s)
-        extend(s, 1 << s, 0)
+        for v1, code in steps[s]:
+            ends = adjacent[s] >> (v1 + 1) << (v1 + 1)
+            if v1 > s and ends:
+                path[:] = (s, v1)
+                extend(s, ends, 1 << s | 1 << v1, code)
     return tuple(out)

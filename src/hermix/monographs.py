@@ -13,8 +13,16 @@ kind) or flips its sign (second kind), and a forward arc multiplies by alpha
 (first kind) or by -alpha (second kind), so a vertex's potential is the
 value of its tree path.  Every cycle value is a product of fundamental ones,
 so checking the basis settles the whole graph.  :attr:`MixedGraph.cycle_basis`
-records the arc balance and length of every tree path and the balance of
-every fundamental cycle, and detection reads them all off the forest.
+records the arc balance and length of every tree path and the balance and
+length parity of every fundamental cycle, and detection reads them all off
+the forest.
+
+Detection is a congruence on those recorded integers.  For alpha at p/q
+turns, a walk of arc balance b and length l is trivial exactly when
+q | p*b (first kind) or 2q | 2p*b + q*l (second kind); the residue, over q
+or 2q, is the walk's value in turns.  So a verdict does no phase arithmetic
+per cycle or per edge, builds the closed walk of a violating cycle only, and
+one phase per distinct potential.
 
 Angle-built alphas are treated as having infinite order, so for them a cycle
 value is trivial only when its arc balance is 0 (and its length even, for
@@ -79,13 +87,44 @@ class MonographKind(Enum):
     SECOND = 2
 
 
-def _value(alpha: Phase, kind: MonographKind, balance: int, edges: int) -> Phase:
-    return alpha.walk_value(balance, edges, signed=kind is MonographKind.SECOND)
+# (a, h, m): a walk of arc balance b and length l has the value key
+# (a*b + h*(l mod 2)) mod m, left unreduced when m = 0
+_Rule = tuple[int, int, int]
 
 
-def _is_trivial(alpha: Phase, kind: MonographKind, balance: int, edges: int) -> bool:
-    # an angle has infinite order, so only a zero balance can cancel it
-    return (alpha.is_exact or balance == 0) and _value(alpha, kind, balance, edges).is_identity()
+def _rule(alpha: Phase, kind: MonographKind) -> _Rule:
+    """The monograph rule of ``alpha`` and ``kind`` as integers (a, h, m).
+
+    For an exact alpha of p/q turns, a walk with arc balance b and length l
+    has value (signed, for the second kind) of r/m turns, with residue
+    r = (a*b + h*l) mod m and (a, h, m) = (p, 0, q) for the first kind,
+    (2p, q, 2q) for the second; it is trivial iff r = 0, and only the parity
+    of l matters.  An angle has infinite order, so its value is trivial only
+    when b = 0 and, for the second kind, l is even: its rule is (1, 0, 0) or
+    (2, 1, 0), where m = 0 leaves a*b + h*(l mod 2) unreduced, a key that
+    tells every (b, l mod 2) apart and is 0 only on trivial walks.
+    """
+    if not alpha.is_exact:
+        return (1, 0, 0) if kind is MonographKind.FIRST else (2, 1, 0)
+    p, q = alpha.rotation.numerator, alpha.rotation.denominator
+    return (p, 0, q) if kind is MonographKind.FIRST else (2 * p, q, 2 * q)
+
+
+def _keys(rule: _Rule, balances: Sequence[int], lengths: Sequence[int]) -> list[int]:
+    """The value key of each walk under ``rule``: 0 exactly on trivial walks,
+    and equal keys exactly for equal values."""
+    a, h, m = rule
+    keys = [a * b + h * (l & 1) for b, l in zip(balances, lengths)]
+    return [k % m for k in keys] if m else keys
+
+
+def _phase(alpha: Phase, rule: _Rule, key: int) -> Phase:
+    """The walk value a key stands for."""
+    a, h, m = rule
+    if m:
+        return Phase(Fraction(key, m))
+    # an angle's key is a*b + h*parity with a = 1 + h
+    return alpha.walk_value(key // a, key % a, signed=bool(h))
 
 
 @dataclass(frozen=True)
@@ -116,17 +155,15 @@ def compute_store(graph: MixedGraph, alpha: Phase, kind: MonographKind) -> Store
     if graph.n == 0 or len(connected_components(graph)) != 1:
         raise ValueError("compute_store requires a connected graph")
     basis = graph.cycle_basis
-    data = [(bal, w.edge_count) for w, bal in zip(basis.cycles, basis.cycle_balances)]
-    phases = tuple(_value(alpha, kind, bal, edges) for bal, edges in data)
-    if alpha.is_exact:
-        rots = [p.rotation for p in phases]
-        denom = math.lcm(*(r.denominator for r in rots)) if rots else 1
-        nums = [(r.numerator * (denom // r.denominator)) % denom for r in rots]
-        g = math.gcd(denom, *nums)
-        size = denom // g
-        return StoreDescriptor(kind, phases, Fraction(g, denom), size)
-    trivial = all(_is_trivial(alpha, kind, bal, edges) for bal, edges in data)
-    return StoreDescriptor(kind, phases, None, 1 if trivial else None)
+    rule = _rule(alpha, kind)
+    keys = _keys(rule, basis.cycle_balances, basis.cycle_parities)
+    phases = tuple(_phase(alpha, rule, k) for k in keys)
+    m = rule[2]
+    if m:
+        # the residues k/m generate the multiples of gcd(m, k...)/m
+        g = math.gcd(m, *keys)
+        return StoreDescriptor(kind, phases, Fraction(g, m), m // g)
+    return StoreDescriptor(kind, phases, None, None if any(keys) else 1)
 
 
 @dataclass(frozen=True)
@@ -147,20 +184,30 @@ class MonographCertificate:
 def is_monograph(graph: MixedGraph, alpha: Phase, kind: MonographKind) -> MonographCertificate:
     """Decide the monograph property structurally, per connected component.
 
-    Checks the value of every fundamental cycle, from its balance and edge
-    count in the graph's cycle basis; disconnected graphs pass only when all
+    Checks the value of every fundamental cycle, from its balance and length
+    parity in the graph's cycle basis; disconnected graphs pass only when all
     components do.  The potential of each vertex is the value of its tree
     path, from the balance and depth the basis records, so it is rooted at
     the smallest vertex of each component.
     """
+    return _certify(graph, alpha, kind)[0]
+
+
+def _certify(
+    graph: MixedGraph, alpha: Phase, kind: MonographKind
+) -> tuple[MonographCertificate, list[int]]:
+    """:func:`is_monograph` plus the value key of each vertex's potential
+    (empty on failure).  Only a violation's own walk is built, and one
+    phase per distinct potential."""
     basis = graph.cycle_basis
-    for walk, bal in zip(basis.cycles, basis.cycle_balances):
-        if not _is_trivial(alpha, kind, bal, walk.edge_count):
-            return MonographCertificate(False, None, walk)
-    potential = tuple(
-        _value(alpha, kind, bal, depth) for bal, depth in zip(basis.balances, basis.depths)
-    )
-    return MonographCertificate(True, potential, None)
+    rule = _rule(alpha, kind)
+    for i, key in enumerate(_keys(rule, basis.cycle_balances, basis.cycle_parities)):
+        if key:
+            return MonographCertificate(False, None, basis.cycle(i)), []
+    keys = _keys(rule, basis.balances, basis.depths)
+    phases = {k: _phase(alpha, rule, k) for k in dict.fromkeys(keys)}
+    potential = tuple([phases[k] for k in keys])
+    return MonographCertificate(True, potential, None), keys
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +227,7 @@ def monograph_partition(
     graph: MixedGraph, alpha: Phase, kind: MonographKind
 ) -> MonographPartition:
     """Group vertices by potential; raises NotMonographError when there is none."""
-    cert = is_monograph(graph, alpha, kind)
+    cert, keys = _certify(graph, alpha, kind)
     if not cert.verdict:
         assert cert.violation is not None
         raise NotMonographError(
@@ -188,43 +235,33 @@ def monograph_partition(
             f"cycle {list(cert.violation.vertices)} has nontrivial value"
         )
     assert cert.potential is not None
-    balances, depths = graph.cycle_basis.balances, graph.cycle_basis.depths
-    groups: dict[object, list[int]] = {}
-    for v in range(graph.n):
-        if alpha.is_exact:
-            key: object = cert.potential[v]
-        elif kind is MonographKind.SECOND:
-            key = (balances[v], depths[v] % 2)
-        else:
-            key = balances[v]
+    groups: dict[int, list[int]] = {}
+    for v, key in enumerate(keys):
         groups.setdefault(key, []).append(v)
     classes = {
         cert.potential[members[0]]: tuple(members) for members in groups.values()
     }
-    _check_partition_edges(graph, alpha, kind, balances, depths, cert.potential)
+    _check_partition_edges(graph, alpha, kind)
     return MonographPartition(classes)
 
 
-def _check_partition_edges(
-    graph: MixedGraph,
-    alpha: Phase,
-    kind: MonographKind,
-    balances: Sequence[int],
-    depths: Sequence[int],
-    potential: tuple[Phase, ...],
-) -> None:
+def _check_partition_edges(graph: MixedGraph, alpha: Phase, kind: MonographKind) -> None:
     """Every edge must move the potential exactly one step: digons keep it
     (first kind) or negate it (second kind); an arc multiplies by alpha, and
-    by minus alpha for the second kind."""
-    for e in graph.edges:
-        balance = 0 if e.kind is EdgeKind.DIGON else 1
-        if alpha.is_exact:
-            ok = potential[e.u] * _value(alpha, kind, balance, 1) == potential[e.v]
-        else:
-            ok = balances[e.v] - balances[e.u] == balance
-            if kind is MonographKind.SECOND:
-                ok = ok and (depths[e.v] - depths[e.u]) % 2 == 1
-        if not ok:
+    by minus alpha for the second kind.  In the rule's integers: the closed
+    walk down the tree to u, across the edge and back up from v has balance
+    b_u + s - b_v (s = 1 for an arc, 0 for a digon) and the length parity of
+    d_u + 1 - d_v, and must be trivial."""
+    basis = graph.cycle_basis
+    balances, depths = basis.balances, basis.depths
+    edges = tuple(graph.edges)
+    keys = _keys(
+        _rule(alpha, kind),
+        [balances[e.u] + (e.kind is EdgeKind.ARC) - balances[e.v] for e in edges],
+        [depths[e.u] + 1 - depths[e.v] for e in edges],
+    )
+    for e, key in zip(edges, keys):
+        if key:
             raise NumericalError(
                 f"partition edge rule failed on {_graph_source(graph, alpha)}: "
                 f"violated at edge ({e.u}, {e.v})"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -38,8 +39,10 @@ from hermix import (
     walk_value_g,
     walk_value_h,
 )
+import hermix.graphs
+from hermix import Walk
 
-from conftest import random_connected_mixed_graph, reference_pair_residual
+from conftest import random_connected_mixed_graph, random_mixed_graph, reference_pair_residual
 
 FIRST = MonographKind.FIRST
 SECOND = MonographKind.SECOND
@@ -500,3 +503,188 @@ def test_detection_equivalence_n5_exhaustive():
                 is_monograph(g, ALPHA_I, kind).verdict
                 == brute_force_monograph(g, ALPHA_I, kind)
             )
+
+
+# the primitive q-th roots of unity exp(2 pi i / q) for q = 1..12, plus two
+# angles
+GAUGE_ALPHAS = [Phase.from_root(1, q) for q in range(1, 13)] + [
+    make_alpha("angle:0.7"),
+    make_alpha("angle:2.1"),
+]
+
+
+def tree_path(g: MixedGraph, v: int) -> Walk:
+    """The spanning-forest path from v's component root down to v."""
+    path = [v]
+    while g.cycle_basis.parents[path[-1]] is not None:
+        path.append(g.cycle_basis.parents[path[-1]])
+    return Walk(tuple(reversed(path)))
+
+
+def walk_values(g: MixedGraph, alpha: Phase, value, walks, memo: dict) -> Iterator[Phase]:
+    """``value(g, alpha, w)`` for each walk, computed once per step sequence.
+
+    ``memo`` keys the values by alpha, reference function and the pair codes
+    along the walk: a walk's value is the product of the matrix entries it
+    steps through, so it depends on nothing else, and a sweep meets few
+    sequences."""
+    spec = str(alpha)
+    for w in walks:
+        key = (spec, value, tuple(g.pair_code(a, b) for a, b in w.steps()))
+        if key not in memo:
+            memo[key] = value(g, alpha, w)
+        yield memo[key]
+
+
+def check_gauge_against_walks(g: MixedGraph, alphas: list[Phase], memo: dict) -> None:
+    """Verdict, violation, potentials and classes of the integer gauge
+    against walk_value_h / walk_value_g along the materialised walks: the
+    fundamental cycles and every vertex's tree path."""
+    basis = g.cycle_basis
+    cycles = basis.cycles
+    assert [w.edge_count % 2 for w in cycles] == list(basis.cycle_parities)
+    paths = [tree_path(g, v) for v in range(g.n)]
+    for alpha in alphas:
+        for kind, value in ((FIRST, walk_value_h), (SECOND, walk_value_g)):
+            cert = is_monograph(g, alpha, kind)
+            values = walk_values(g, alpha, value, cycles, memo)
+            bad = next((w for w, x in zip(cycles, values) if not x.is_identity()), None)
+            assert cert.verdict == (bad is None)
+            assert cert.violation == bad
+            if bad is not None:
+                with pytest.raises(NotMonographError):
+                    monograph_partition(g, alpha, kind)
+                continue
+            potential = tuple(walk_values(g, alpha, value, paths, memo))
+            assert cert.potential == potential
+            classes: dict[Phase, list[int]] = {}
+            for v, p in enumerate(potential):
+                classes.setdefault(p, []).append(v)
+            part = monograph_partition(g, alpha, kind).classes
+            assert list(part.items()) == [(p, tuple(vs)) for p, vs in classes.items()]
+
+
+def test_gauge_angles_model_infinite_order():
+    # the walk values the references compute agree with the infinite-order
+    # model only if no nonzero balance reachable at n <= 8 comes within the
+    # phase tolerance of 1
+    for alpha in GAUGE_ALPHAS[-2:]:
+        assert not any((alpha**b).is_identity() for b in range(1, 2 * 8 + 1))
+
+
+def test_gauge_matches_walk_values_every_code_n4():
+    memo: dict = {}
+    for n in range(5):
+        for code in range(4 ** (n * (n - 1) // 2)):
+            check_gauge_against_walks(mixed_graph_from_code(n, code), GAUGE_ALPHAS, memo)
+
+
+def test_gauge_matches_walk_values_sample_n5_to_n8():
+    rng = random.Random(1031)
+    memo: dict = {}
+    for trial in range(320):
+        n = 5 + trial % 4
+        # sparse draws leave graphs disconnected, dense ones connected
+        g = random_mixed_graph(rng, n, rng.choice([0.15, 0.3, 0.5, 0.8]))
+        check_gauge_against_walks(g, GAUGE_ALPHAS, memo)
+
+
+@pytest.mark.slow
+def test_gauge_matches_walk_values_exhaustive_n5():
+    # under the paper's named alphas only: about 7 min, where all fourteen
+    # of GAUGE_ALPHAS would take about 36
+    memo: dict = {}
+    for code in range(4**10):
+        g = mixed_graph_from_code(5, code)
+        check_gauge_against_walks(g, [ALPHA_I, ALPHA_GAMMA, ALPHA_OMEGA], memo)
+
+
+def count_calls(monkeypatch, cls, name):
+    """Patch ``cls.name`` to count its calls in the list it returns."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+def three_class_clique(n: int) -> MixedGraph:
+    """K_n as a first-kind gamma monograph: vertex v sits in class v mod 3,
+    a pair inside a class is a digon, and an arc runs from each class to
+    the next."""
+    digons, arcs = [], []
+    for u in range(n):
+        for v in range(u + 1, n):
+            step = (v - u) % 3
+            if step == 0:
+                digons.append((u, v))
+            else:
+                arcs.append((u, v) if step == 1 else (v, u))
+    return MixedGraph.from_edges(n, digons, arcs)
+
+
+class TestGaugeCost:
+    """An exact verdict reads the recorded integers: it does no fraction
+    arithmetic per cycle or per edge, builds one phase per distinct
+    potential, and on failure the violating cycle's walk only."""
+
+    def counted(self, monkeypatch, run) -> tuple[int, int, int]:
+        """Phases, fractions and walks built by ``run()``."""
+        counts = [
+            count_calls(monkeypatch, cls, name)
+            for cls, name in (
+                (Phase, "__post_init__"),
+                (Fraction, "__new__"),
+                (Walk, "__post_init__"),
+            )
+        ]
+        run()
+        found = tuple(len(c) for c in counts)
+        monkeypatch.undo()
+        return found
+
+    def test_passing_partition_is_independent_of_size(self, monkeypatch):
+        seen = []
+        for n in (12, 24):
+            g = three_class_clique(n)
+            part = monograph_partition(g, ALPHA_GAMMA, FIRST)
+            assert [len(vs) for vs in part.classes.values()] == [n // 3] * 3
+            seen.append(
+                self.counted(monkeypatch, lambda: monograph_partition(g, ALPHA_GAMMA, FIRST))
+            )
+        # 66 and 276 edges, 55 and 253 fundamental cycles, the same work
+        assert seen[0] == seen[1]
+        phases, fractions, walks = seen[0]
+        assert phases == 3 and walks == 0
+        assert fractions <= 3 * phases
+
+    def test_passing_verdict_builds_one_phase_per_potential(self, monkeypatch):
+        clique = three_class_clique(12)
+        # K_{6,6} of digons: a second-kind monograph under 1, sides -1 apart
+        bipartite = MixedGraph.from_edges(
+            12, [(u, v) for u in range(6) for v in range(6, 12)]
+        )
+        for g, alpha, kind, distinct in (
+            (clique, ALPHA_GAMMA, FIRST, 3),
+            (clique, ALPHA_ONE, FIRST, 1),
+            (bipartite, ALPHA_ONE, SECOND, 2),
+        ):
+            cert = is_monograph(g, alpha, kind)
+            assert cert.verdict and len(set(cert.potential)) == distinct
+            phases, _, walks = self.counted(monkeypatch, lambda: is_monograph(g, alpha, kind))
+            assert (phases, walks) == (distinct, 0)
+
+    def test_failing_verdict_builds_one_walk(self, monkeypatch):
+        # the cycle basis is built inside the count, and builds no walk itself
+        g = three_class_clique(12)
+        for alpha, kind in ((ALPHA_I, FIRST), (ALPHA_GAMMA, SECOND)):
+            assert self.counted(monkeypatch, lambda: is_monograph(g, alpha, kind)) == (0, 0, 1)
+            value = walk_value_h if kind is FIRST else walk_value_g
+            first_bad = next(
+                w for w in g.cycle_basis.cycles if not value(g, alpha, w).is_identity()
+            )
+            assert is_monograph(g, alpha, kind).violation == first_bad
