@@ -35,7 +35,7 @@ from .cospectral import (
 )
 from .errors import NumericalError
 from .expansion import char_poly_expansion
-from .graphs import EdgeKind, MixedGraph, parse_graph, serialize_graph
+from .graphs import MixedGraph, _ends, parse_graph, serialize_graph
 from .monographs import (
     AttachDirection,
     Attachment,
@@ -132,10 +132,7 @@ def _read_graph(path: str) -> MixedGraph:
 
 
 def _edges_json(graph: MixedGraph) -> list[list[Any]]:
-    return [
-        ["digon" if e.kind is EdgeKind.DIGON else "arc", e.u, e.v]
-        for e in graph.sorted_edges
-    ]
+    return [["digon" if row[2] == 1 else "arc", *_ends(row)] for row in graph._table]
 
 
 def _spectra_payload(graph: MixedGraph, alpha: Phase, oracle: bool) -> dict[str, Any]:

@@ -51,13 +51,14 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import NumericalError, ScaleLimitError
-from .graphs import Edge, EdgeKind, MixedGraph
+from .graphs import _DIGIT_STEP, MixedGraph
 from .monographs import MonographKind, _keys, _rule, is_monograph
 from .phases import Phase
 from .spectra import (
     DEFAULT_TOL,
     _char_poly_checked,
     _Check,
+    _digit_entries,
     _eigh_checked,
     _graph_source,
     _matrix_checks,
@@ -140,7 +141,7 @@ def oriented_bipartite(graph: MixedGraph) -> bool:
     fundamental cycle must have an even number of edges: every length parity
     the spanning forest records must be 0.
     """
-    if any(e.kind is EdgeKind.DIGON for e in graph.edges):
+    if any(digit == 1 for _, _, digit in graph._table):
         return False
     return not any(graph.cycle_basis.cycle_parities)
 
@@ -172,7 +173,7 @@ def numeric_cospectral(
     flags = StructuralFlags(
         even_arc_condition=even_arc_condition(graph),
         oriented_bipartite=oriented_bipartite(graph),
-        tree=not graph.cycle_basis.non_tree,
+        tree=not graph.cycle_basis.cycle_parities,
         monograph_both=_same_kind_both(graph, alpha1, alpha2),
     )
     max_gap = _checked_gaps(
@@ -238,26 +239,22 @@ def mixed_graph_from_code(n: int, code: int) -> MixedGraph:
     """Decode a base-4 integer into a mixed graph on ``n`` vertices.
 
     Digit positions follow the pairs (0,1), (0,2), ..., in lexicographic
-    order, least significant digit first.
+    order, least significant digit first.  Each nonzero digit is an edge
+    table row as it stands (1 digon, 2 arc up, 3 arc down), in table order.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     pair_count = n * (n - 1) // 2
     if not 0 <= code < 4**pair_count:
         raise ValueError(f"code {code} out of range for {n} vertices")
-    edges = []
+    table = []
     rest = code
     for u in range(n):
         for v in range(u + 1, n):
-            digit = rest % 4
-            rest //= 4
-            if digit == 1:
-                edges.append(Edge.digon(u, v))
-            elif digit == 2:
-                edges.append(Edge.arc(u, v))
-            elif digit == 3:
-                edges.append(Edge.arc(v, u))
-    return MixedGraph(n, frozenset(edges))
+            rest, digit = divmod(rest, 4)
+            if digit:
+                table.append((u, v, digit))
+    return MixedGraph._from_table(n, tuple(table))
 
 
 def enumerate_mixed_graphs(n: int) -> Iterator[tuple[int, MixedGraph]]:
@@ -338,10 +335,6 @@ def _stream_hits(
             yield chunk[i], mixed_graph_from_code(scan.n, chunk[i]), report
 
 
-# the pair code, low vertex to high, of each digit: none, digon, arc up, arc down
-_DIGIT_STEP = np.array([0, 0, 1, -1])
-
-
 class _ChunkScan:
     """The search's scan of codes on ``n`` vertices under one pair of phases:
     the matrix stacks and flags of a chunk, run through the same verdict as
@@ -355,10 +348,8 @@ class _ChunkScan:
         self.low = np.array([u for u, _ in self.pairs], dtype=np.intp)
         self.high = np.array([v for _, v in self.pairs], dtype=np.intp)
         self.place = 4 ** np.arange(len(self.pairs), dtype=np.int64)
-        # matrix entry by digit, above and below the diagonal, as build_hermitian sets it
-        values = [(a.value, a.value.conjugate()) for a in self.alphas]
-        self.above = [np.array([0, 1, v, c], dtype=np.complex128) for v, c in values]
-        self.below = [np.array([0, 1, c, v], dtype=np.complex128) for v, c in values]
+        # matrix entries by digit, above and below the diagonal, as build_hermitian sets them
+        self.entries = [_digit_entries(a) for a in self.alphas]
         # a closing edge plus two tree paths: balance at most 2n - 1 in size
         self.span = 2 * n
         self.trivial = np.array(
@@ -385,7 +376,7 @@ class _ChunkScan:
             return f"code {int(codes[i])} (n={n}, alphas {a1} and {a2})"
 
         stacks = []
-        for above, below in zip(self.above, self.below):
+        for above, below in self.entries:
             a = np.zeros((len(codes), n, n), dtype=np.complex128)
             a[:, self.low, self.high] = above[digits]
             a[:, self.high, self.low] = below[digits]
@@ -427,9 +418,10 @@ class _ChunkScan:
         odd_arcs = np.zeros(count, dtype=bool)
         odd_length = np.zeros(count, dtype=bool)
         nontrivial = np.zeros((2, 2, count), dtype=bool)
+        step = np.array(_DIGIT_STEP)
         for p, (u, v) in enumerate(self.pairs):
             edge = digits[:, p] != 0
-            shift = balance[:, u] + _DIGIT_STEP[digits[:, p]] - balance[:, v]
+            shift = balance[:, u] + step[digits[:, p]] - balance[:, v]
             flip = parity[:, u] ^ parity[:, v] ^ 1
             same = root[:, u] == root[:, v]
             closes = edge & same

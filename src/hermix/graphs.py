@@ -5,6 +5,18 @@ digon or a single arc with a direction.  Vertices are dense integer ids
 ``0..n-1`` and loops are forbidden.  Forgetting directions gives the
 underlying graph, which drives all connectivity and cycle questions.
 
+A graph is stored as one edge table: a row ``(lo, hi, digit)`` per edge,
+``lo < hi`` its vertex pair, the rows sorted by pair.  The digit is the one
+the exhaustive search's base-4 codes use for the pair: 1 for a digon, 2 for
+an arc from ``lo`` up to ``hi``, 3 for an arc from ``hi`` down to ``lo``
+(0, no edge, never appears in a table).  ``_DIGIT_STEP[digit]`` is the
+pair code of the step from ``lo`` to ``hi``.  The parser and the code
+decoder check their input once and hand the table over as it is; the
+neighbour views, the pair codes, the spanning forest, the Hermitian matrix
+and the ``Edge`` objects of :attr:`MixedGraph.edges` are all read off it,
+each on first use.  Two graphs are equal exactly when their vertex counts
+and tables are.
+
 Every type here is immutable after construction, so instances are safe to
 share between threads and to use as cache keys; the operations are pure
 functions of their arguments.
@@ -72,24 +84,64 @@ class Edge:
         return (self.u, self.v) if self.u < self.v else (self.v, self.u)
 
 
-@dataclass(frozen=True)
+# one edge table row: (lo, hi, digit) with lo < hi
+_Row = tuple[int, int, int]
+
+# the pair code of the step from lo to hi, by digit: none, digon, arc up, arc down
+_DIGIT_STEP = (0, 0, 1, -1)
+
+
+def _row(e: Edge) -> _Row:
+    if e.kind is EdgeKind.DIGON:
+        return (e.u, e.v, 1)
+    return (e.u, e.v, 2) if e.u < e.v else (e.v, e.u, 3)
+
+
+def _edge(row: _Row) -> Edge:
+    lo, hi, digit = row
+    if digit == 1:
+        return Edge(lo, hi, EdgeKind.DIGON)
+    return Edge(lo, hi, EdgeKind.ARC) if digit == 2 else Edge(hi, lo, EdgeKind.ARC)
+
+
+def _ends(row: _Row) -> tuple[int, int]:
+    """The stored tail and head of a row's edge: a digon runs from lo."""
+    lo, hi, digit = row
+    return (hi, lo) if digit == 3 else (lo, hi)
+
+
+@dataclass(frozen=True, init=False)
 class MixedGraph:
-    """A loop-free mixed graph on vertices ``0..n-1``, one edge per pair at most."""
+    """A loop-free mixed graph on vertices ``0..n-1``, one edge per pair at most.
+
+    ``MixedGraph(n, edges)`` checks the edges in ``sorted_edges`` order, so
+    an error names the lowest offending pair.
+    """
 
     n: int
-    edges: frozenset[Edge]
+    _table: tuple[_Row, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        if self.n < 0:
+    def __init__(self, n: int, edges: Iterable[Edge]) -> None:
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        pairs: set[tuple[int, int]] = set()
-        for e in self.edges:
-            if e.u >= self.n or e.v >= self.n:
-                raise ValueError(f"edge ({e.u}, {e.v}) uses a vertex id >= n={self.n}")
-            if e.pair in pairs:
+        table: list[_Row] = []
+        for e in sorted(frozenset(edges), key=_row):
+            if e.u >= n or e.v >= n:
+                raise ValueError(f"edge ({e.u}, {e.v}) uses a vertex id >= n={n}")
+            row = _row(e)
+            if table and table[-1][:2] == row[:2]:
                 raise ValueError(f"more than one edge for pair {e.pair}")
-            pairs.add(e.pair)
+            table.append(row)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_table", tuple(table))
+
+    @classmethod
+    def _from_table(cls, n: int, table: tuple[_Row, ...]) -> "MixedGraph":
+        """A graph over an edge table its caller has already checked."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "_table", table)
+        return graph
 
     @classmethod
     def from_edges(
@@ -103,8 +155,12 @@ class MixedGraph:
         return cls(n, frozenset(es))
 
     @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(self.sorted_edges)
+
+    @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edges, key=lambda e: e.pair))
+        return tuple(map(_edge, self._table))
 
     @cached_property
     def cycle_basis(self) -> FundamentalCycleBasis:
@@ -112,16 +168,24 @@ class MixedGraph:
         return fundamental_cycles(self)
 
     @cached_property
+    def _steps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per vertex, each neighbour in ascending order with the pair code of
+        the step to it.  Rows come sorted by pair, so every vertex meets its
+        lower neighbours first and each list is ascending as it is built."""
+        steps: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for lo, hi, digit in self._table:
+            code = _DIGIT_STEP[digit]
+            steps[lo].append((hi, code))
+            steps[hi].append((lo, -code))
+        return tuple(map(tuple, steps))
+
+    @cached_property
     def _codes(self) -> dict[tuple[int, int], int]:
         # 0 digon, +1 arc traversed with its direction, -1 against it
         codes: dict[tuple[int, int], int] = {}
-        for e in self.edges:
-            if e.kind is EdgeKind.DIGON:
-                codes[e.u, e.v] = 0
-                codes[e.v, e.u] = 0
-            else:
-                codes[e.u, e.v] = 1
-                codes[e.v, e.u] = -1
+        for lo, hi, digit in self._table:
+            codes[lo, hi] = _DIGIT_STEP[digit]
+            codes[hi, lo] = -_DIGIT_STEP[digit]
         return codes
 
     def pair_code(self, u: int, v: int) -> int | None:
@@ -129,33 +193,27 @@ class MixedGraph:
         None when u and v are not adjacent."""
         return self._codes.get((u, v))
 
-    @cached_property
-    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
-        rows: list[list[int]] = [[] for _ in range(self.n)]
-        for e in self.edges:
-            rows[e.u].append(e.v)
-            rows[e.v].append(e.u)
-        return tuple(tuple(sorted(r)) for r in rows)
-
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Neighbors in the underlying graph, ascending."""
-        return self._neighbors[u]
+        return tuple(w for w, _ in self._steps[u])
 
     @cached_property
     def _split_neighbors(
         self,
     ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        # digon, out-arc and in-arc lists, ascending for the reason _steps gives
         dig: list[list[int]] = [[] for _ in range(self.n)]
         out: list[list[int]] = [[] for _ in range(self.n)]
         inc: list[list[int]] = [[] for _ in range(self.n)]
-        for e in self.edges:
-            if e.kind is EdgeKind.DIGON:
-                dig[e.u].append(e.v)
-                dig[e.v].append(e.u)
+        for lo, hi, digit in self._table:
+            if digit == 1:
+                dig[lo].append(hi)
+                dig[hi].append(lo)
             else:
-                out[e.u].append(e.v)
-                inc[e.v].append(e.u)
-        freeze = lambda rows: tuple(tuple(sorted(r)) for r in rows)
+                tail, head = (lo, hi) if digit == 2 else (hi, lo)
+                out[tail].append(head)
+                inc[head].append(tail)
+        freeze = lambda rows: tuple(map(tuple, rows))
         return freeze(dig), freeze(out), freeze(inc)
 
     def digon_neighbors(self, u: int) -> tuple[int, ...]:
@@ -219,13 +277,13 @@ class FundamentalCycleBasis:
     ``depths[v]`` edges and arc balance ``balances[v]``, the forward minus
     the backward arcs along it.
 
-    ``non_tree`` holds the non-tree edges in ``sorted_edges`` order, and the
-    i-th fundamental cycle is the one ``non_tree[i]`` closes.  Its arc
-    balance ``cycle_balances[i]`` and length parity ``cycle_parities[i]``
-    are recorded eagerly: the two tree paths cancel up to the branch point,
-    so across a non-tree edge ``u -> v`` the balance is
-    ``balances[u] + pair_code(u, v) - balances[v]`` and the parity is
-    ``(depths[u] + depths[v] + 1) % 2``.
+    ``non_tree`` holds the non-tree edges in ``sorted_edges`` order, built
+    on first access from their table rows, and the i-th fundamental cycle is
+    the one ``non_tree[i]`` closes.  Its arc balance ``cycle_balances[i]``
+    and length parity ``cycle_parities[i]`` are recorded eagerly: the two
+    tree paths cancel up to the branch point, so across a non-tree edge
+    ``u -> v`` the balance is ``balances[u] + pair_code(u, v) - balances[v]``
+    and the parity is ``(depths[u] + depths[v] + 1) % 2``.
 
     The closed walks are built only on demand: :meth:`cycle` builds one,
     :attr:`cycles` all of them, once.  Each starts at the deepest common
@@ -233,7 +291,7 @@ class FundamentalCycleBasis:
     stored tail, crosses the edge, and climbs back.
     """
 
-    non_tree: tuple[Edge, ...]
+    _closing: tuple[_Row, ...]
     parents: tuple[int | None, ...]
     roots: tuple[int, ...]
     depths: tuple[int, ...]
@@ -241,14 +299,18 @@ class FundamentalCycleBasis:
     cycle_balances: tuple[int, ...]
     cycle_parities: tuple[int, ...]
 
+    @cached_property
+    def non_tree(self) -> tuple[Edge, ...]:
+        return tuple(map(_edge, self._closing))
+
     def cycle(self, i: int) -> Walk:
         """The closed walk of the i-th fundamental cycle."""
-        return _fundamental_walk(self.non_tree[i], self.parents, self.depths)
+        return _fundamental_walk(*_ends(self._closing[i]), self.parents, self.depths)
 
     @cached_property
     def cycles(self) -> tuple[Walk, ...]:
         """Every fundamental cycle's closed walk, in ``non_tree`` order."""
-        return tuple(map(self.cycle, range(len(self.non_tree))))
+        return tuple(map(self.cycle, range(len(self._closing))))
 
 
 class SimpleCycle(NamedTuple):
@@ -264,69 +326,82 @@ class SimpleCycle(NamedTuple):
         return Walk(self.vertices)
 
 
-_EDGE_RE = re.compile(r"^(\d+)\s*(--|->)\s*(\d+)$")
+# One line of the format: a vertex count, an edge ``u -- v`` or ``u -> v``,
+# or nothing, with any whitespace around the tokens (``[^\S\n]`` is exactly
+# what ``str.isspace`` accepts, less the line break) and an optional ``#``
+# comment.  A line of any other shape lands whole in the last group.
+_LINE_RE = re.compile(
+    r"^(?:[^\S\n]*(?:([0-9]+)[^\S\n]*(?:(--|->)[^\S\n]*([0-9]+)[^\S\n]*)?)?(?:#.*)?|(.*))$",
+    re.MULTILINE,
+)
 
 
 def parse_graph(text: str) -> MixedGraph:
     """Parse the plain text graph format.
 
     First significant line is the vertex count; after that ``u -- v`` adds a
-    digon and ``u -> v`` an arc.  ``#`` starts a comment, blank lines are
-    skipped.  Errors carry 1-based line numbers.
+    digon and ``u -> v`` an arc.  Numbers are ASCII digits.  ``#`` starts a
+    comment, blank lines are skipped, and any whitespace may surround the
+    tokens.  Errors carry 1-based line numbers, as ``str.splitlines`` counts
+    lines.  One pass over the lines checks them and fills the edge table.
     """
+    lines = text.splitlines()
     n: int | None = None
-    edges: list[Edge] = []
-    seen: set[tuple[int, int]] = set()
-    # looked up once: reading an enum member off its class costs a method call
-    digon, arc = EdgeKind.DIGON, EdgeKind.ARC
-    for idx, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    rows: list[_Row] = []
+    pairs: set[tuple[int, int]] = set()
+    for idx, (a, op, b, other) in enumerate(_LINE_RE.findall("\n".join(lines)), start=1):
+        if not (a or other):
             continue
         if n is None:
-            if not line.isdigit():
-                raise GraphFormatError(f"line {idx}: expected a vertex count, got {raw.strip()!r}")
-            n = int(line)
+            if other or op:
+                raise GraphFormatError(
+                    f"line {idx}: expected a vertex count, got {lines[idx - 1].strip()!r}"
+                )
+            try:
+                n = int(a)
+            except ValueError as exc:  # more digits than int() converts
+                raise GraphFormatError(f"line {idx}: {exc}") from None
             continue
-        m = _EDGE_RE.match(line)
-        if not m:
-            raise GraphFormatError(f"line {idx}: malformed edge {raw.strip()!r}")
-        tail, op, head = m.groups()
-        u, v = int(tail), int(head)
+        if other or not op:
+            raise GraphFormatError(f"line {idx}: malformed edge {lines[idx - 1].strip()!r}")
+        try:
+            u, v = int(a), int(b)
+        except ValueError as exc:
+            raise GraphFormatError(f"line {idx}: {exc}") from None
         if u == v:
             raise GraphFormatError(f"line {idx}: loop at vertex {u}")
         if u >= n or v >= n:
             raise GraphFormatError(f"line {idx}: vertex id out of range for n={n}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphFormatError(f"line {idx}: second edge for pair {key}")
-        seen.add(key)
-        edges.append(Edge(*key, digon) if op == "--" else Edge(u, v, arc))
+        if u < v:
+            row = (u, v, 1 if op == "--" else 2)
+        else:
+            row = (v, u, 1 if op == "--" else 3)
+        pair = row[:2]
+        if pair in pairs:
+            raise GraphFormatError(f"line {idx}: second edge for pair {pair}")
+        pairs.add(pair)
+        rows.append(row)
     if n is None:
         raise GraphFormatError("missing vertex count line")
-    return MixedGraph(n, frozenset(edges))
+    rows.sort()
+    return MixedGraph._from_table(n, tuple(rows))
 
 
 def serialize_graph(graph: MixedGraph) -> str:
     """Write a graph back in the text format, edges sorted by vertex pair."""
     lines = [str(graph.n)]
-    for e in graph.sorted_edges:
-        if e.kind is EdgeKind.DIGON:
-            lines.append(f"{e.u} -- {e.v}")
-        else:
-            lines.append(f"{e.u} -> {e.v}")
+    for row in graph._table:
+        u, v = _ends(row)
+        lines.append(f"{u} -- {v}" if row[2] == 1 else f"{u} -> {v}")
     return "\n".join(lines) + "\n"
 
 
 def degree_profile(graph: MixedGraph) -> DegreeProfile:
     """Degrees in the underlying graph plus the regularity flag."""
-    degs = [0] * graph.n
-    for e in graph.edges:
-        degs[e.u] += 1
-        degs[e.v] += 1
+    degs = tuple(map(len, graph._steps))
     dmax = max(degs, default=0)
     regular = all(d == dmax for d in degs)
-    return DegreeProfile(tuple(degs), dmax, regular)
+    return DegreeProfile(degs, dmax, regular)
 
 
 def connected_components(graph: MixedGraph) -> tuple[tuple[int, ...], ...]:
@@ -353,8 +428,7 @@ def fundamental_cycles(graph: MixedGraph) -> FundamentalCycleBasis:
     roots = [-1] * n
     depths = [0] * n
     balances = [0] * n
-    codes = graph._codes
-    neighbors = graph._neighbors
+    steps = graph._steps
     for r in range(n):
         if roots[r] != -1:
             continue
@@ -362,28 +436,37 @@ def fundamental_cycles(graph: MixedGraph) -> FundamentalCycleBasis:
         # a list read while it grows is the BFS queue
         queue = [r]
         for x in queue:
-            for y in neighbors[x]:
+            depth, balance = depths[x] + 1, balances[x]
+            for y, code in steps[x]:
                 if roots[y] == -1:
                     roots[y] = r
                     parents[y] = x
-                    depths[y] = depths[x] + 1
-                    balances[y] = balances[x] + codes[x, y]
+                    depths[y] = depth
+                    balances[y] = balance + code
                     queue.append(y)
-    non_tree = tuple(
-        e for e in graph.sorted_edges if parents[e.u] != e.v and parents[e.v] != e.u
-    )
-    cycle_balances = tuple(balances[e.u] + codes[e.u, e.v] - balances[e.v] for e in non_tree)
-    cycle_parities = tuple((depths[e.u] + depths[e.v] + 1) % 2 for e in non_tree)
+    closing = []
+    cycle_balances = []
+    cycle_parities = []
+    for row in graph._table:
+        lo, hi, digit = row
+        if parents[lo] != hi and parents[hi] != lo:
+            closing.append(row)
+            # across the edge from lo; an arc stored from hi runs the other way
+            shift = balances[lo] + _DIGIT_STEP[digit] - balances[hi]
+            cycle_balances.append(-shift if digit == 3 else shift)
+            cycle_parities.append((depths[lo] + depths[hi] + 1) % 2)
     forest = (tuple(parents), tuple(roots), tuple(depths), tuple(balances))
-    return FundamentalCycleBasis(non_tree, *forest, cycle_balances, cycle_parities)
+    return FundamentalCycleBasis(
+        tuple(closing), *forest, tuple(cycle_balances), tuple(cycle_parities)
+    )
 
 
 def _fundamental_walk(
-    edge: Edge, parents: tuple[int | None, ...], depths: tuple[int, ...]
+    u: int, v: int, parents: tuple[int | None, ...], depths: tuple[int, ...]
 ) -> Walk:
-    up_a = [edge.u]
-    up_b = [edge.v]
-    x, y = edge.u, edge.v
+    up_a = [u]
+    up_b = [v]
+    x, y = u, v
     while depths[x] > depths[y]:
         x = parents[x]  # type: ignore[assignment]
         up_a.append(x)
@@ -410,16 +493,15 @@ def enumerate_simple_cycles(graph: MixedGraph, max_len: int) -> tuple[SimpleCycl
     only close from a neighbour of the start above it, so a path stops
     growing when all of those are on it, and each cycle is reached in one
     direction only.  The search carries the path's vertex mask
-    and arc balance as it extends the path, reading each step from the
-    pair-code table that ``phases.arc_balance`` reads, so every cycle comes
-    with both and no walk is looked up again.
+    and arc balance as it extends the path, reading each step's pair code
+    from the graph's neighbour lists, so every cycle comes with both and no
+    walk is looked up again.
     """
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
     out: list[SimpleCycle] = []
-    codes = graph._codes
-    steps = [tuple((w, codes[v, w]) for w in graph.neighbors(v)) for v in range(graph.n)]
-    adjacent = [sum(1 << w for w in graph.neighbors(v)) for v in range(graph.n)]
+    steps = graph._steps
+    adjacent = [sum(1 << w for w, _ in steps[v]) for v in range(graph.n)]
     path: list[int] = []
 
     def extend(s: int, ends: int, mask: int, balance: int) -> None:

@@ -43,10 +43,10 @@ import numpy as np
 
 from .errors import NotMonographError, NumericalError
 from .graphs import (
-    Edge,
-    EdgeKind,
+    _DIGIT_STEP,
     MixedGraph,
     Walk,
+    _ends,
     connected_components,
     degree_profile,
 )
@@ -249,22 +249,25 @@ def _check_partition_edges(graph: MixedGraph, alpha: Phase, kind: MonographKind)
     """Every edge must move the potential exactly one step: digons keep it
     (first kind) or negate it (second kind); an arc multiplies by alpha, and
     by minus alpha for the second kind.  In the rule's integers: the closed
-    walk down the tree to u, across the edge and back up from v has balance
-    b_u + s - b_v (s = 1 for an arc, 0 for a digon) and the length parity of
-    d_u + 1 - d_v, and must be trivial."""
+    walk down the tree to lo, across the edge and back up from hi has balance
+    b_lo + s - b_hi (s the pair code of the step from lo to hi) and the
+    length parity of d_lo + 1 - d_hi, and must be trivial (a walk and its
+    reverse are trivial together).  An error names the first failing edge in
+    ``sorted_edges`` order."""
     basis = graph.cycle_basis
     balances, depths = basis.balances, basis.depths
-    edges = tuple(graph.edges)
+    rows = graph._table
     keys = _keys(
         _rule(alpha, kind),
-        [balances[e.u] + (e.kind is EdgeKind.ARC) - balances[e.v] for e in edges],
-        [depths[e.u] + 1 - depths[e.v] for e in edges],
+        [balances[lo] + _DIGIT_STEP[digit] - balances[hi] for lo, hi, digit in rows],
+        [depths[lo] + 1 - depths[hi] for lo, hi, _ in rows],
     )
-    for e, key in zip(edges, keys):
+    for row, key in zip(rows, keys):
         if key:
+            u, v = _ends(row)
             raise NumericalError(
                 f"partition edge rule failed on {_graph_source(graph, alpha)}: "
-                f"violated at edge ({e.u}, {e.v})"
+                f"violated at edge ({u}, {v})"
             )
 
 
@@ -394,31 +397,28 @@ def extend_monograph(
     if not cert.verdict:
         raise NotMonographError("extension requires a first-kind monograph")
     base_set = set(base)
-    inside = [e for e in graph.sorted_edges if e.u in base_set and e.v in base_set]
-    for e in inside:
-        if e.kind is not EdgeKind.DIGON:
-            raise ValueError(
-                f"base subgraph must be undirected, found arc ({e.u}, {e.v}) inside it"
-            )
+    inside = tuple(row for row in graph._table if row[0] in base_set and row[1] in base_set)
+    for row in inside:
+        if row[2] != 1:
+            u, v = _ends(row)
+            raise ValueError(f"base subgraph must be undirected, found arc ({u}, {v}) inside it")
     # connected exactly when the induced subgraph's spanning forest puts
     # every base vertex under one root
-    roots = MixedGraph(graph.n, frozenset(inside)).cycle_basis.roots
+    roots = MixedGraph._from_table(graph.n, inside).cycle_basis.roots
     if len({roots[v] for v in base}) != 1:
         raise ValueError("base vertex set does not induce a connected subgraph")
-    new_edges = set(graph.edges)
+    table = list(graph._table)
     next_id = graph.n
     for att in attachments:
         if not att.targets <= base_set:
             raise ValueError(
                 f"attachment targets {sorted(att.targets)} leave the base set"
             )
-        for t in sorted(att.targets):
-            if att.direction is AttachDirection.OUT:
-                new_edges.add(Edge.arc(next_id, t))
-            else:
-                new_edges.add(Edge.arc(t, next_id))
+        # a new vertex is above every target: OUT arcs run down, IN arcs up
+        digit = 3 if att.direction is AttachDirection.OUT else 2
+        table += [(t, next_id, digit) for t in att.targets]
         next_id += 1
-    grown = MixedGraph(next_id, frozenset(new_edges))
+    grown = MixedGraph._from_table(next_id, tuple(sorted(table)))
     assert is_monograph(grown, alpha, MonographKind.FIRST).verdict
     return grown
 

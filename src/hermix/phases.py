@@ -151,9 +151,15 @@ class Phase:
     def walk_value(self, balance: int, edges: int, signed: bool) -> "Phase":
         """Value, with this phase as alpha, of a walk with the given arc
         balance and edge count: ``alpha ** balance``, times (-1) per edge
-        when ``signed``."""
-        value = self**balance
-        return value * Phase.minus_one() ** edges if signed else value
+        when ``signed``.
+
+        One phase is built.  The sign adds half a turn to the reduced power,
+        as the product of ``self ** balance`` and ``Phase.minus_one() **
+        edges`` adds them, so a float rotation matches that product exactly."""
+        rotation = self.rotation * balance
+        if signed:
+            rotation = rotation % 1 + (_HALF if edges % 2 else 0)
+        return Phase(rotation)
 
     @property
     def value(self) -> complex:

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import NumericalError
-from .graphs import EdgeKind, MixedGraph
+from .graphs import MixedGraph
 from .phases import Phase
 
 __all__ = [
@@ -101,7 +101,7 @@ def _graph_source(graph: MixedGraph, *alphas: Phase) -> str:
     """How an error names a graph and the phases it was taken under."""
     phases = " and ".join(map(str, alphas))
     return (
-        f"the graph (n={graph.n}, {len(graph.edges)} edges, "
+        f"the graph (n={graph.n}, {len(graph._table)} edges, "
         f"alpha{'s' if len(alphas) > 1 else ''} {phases})"
     )
 
@@ -259,18 +259,20 @@ class EigenPair:
         object.__setattr__(self, "eigenvalue", float(self.eigenvalue))
 
 
-def build_hermitian(graph: MixedGraph, alpha: Phase) -> HermitianMatrix:
-    """The phase-weighted Hermitian adjacency matrix of the graph."""
-    a = np.zeros((graph.n, graph.n), dtype=np.complex128)
+def _digit_entries(alpha: Phase) -> np.ndarray:
+    """The matrix entries an edge digit sets (none, digon, arc up, arc down):
+    row 0 at (lo, hi), row 1 at (hi, lo)."""
     val = alpha.value
     conj = val.conjugate()
-    for e in graph.edges:
-        if e.kind is EdgeKind.DIGON:
-            a[e.u, e.v] = 1.0
-            a[e.v, e.u] = 1.0
-        else:
-            a[e.u, e.v] = val
-            a[e.v, e.u] = conj
+    return np.array([[0, 1, val, conj], [0, 1, conj, val]], dtype=np.complex128)
+
+
+def build_hermitian(graph: MixedGraph, alpha: Phase) -> HermitianMatrix:
+    """The phase-weighted Hermitian adjacency matrix of the graph, set from
+    its edge table in one assignment."""
+    a = np.zeros((graph.n, graph.n), dtype=np.complex128)
+    lo, hi, digit = np.array(graph._table, dtype=np.intp).reshape(-1, 3).T
+    a[[lo, hi], [hi, lo]] = _digit_entries(alpha)[:, digit]
     return HermitianMatrix(graph.n, a, _graph_source(graph, alpha))
 
 

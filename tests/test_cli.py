@@ -541,6 +541,12 @@ class TestErrorPaths:
         assert main(["spectrum", "--alpha", "i", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_ascii_count_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.mg"
+        path.write_text("²\n", encoding="utf-8")
+        assert main(["spectrum", "--alpha", "i", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 1: expected a vertex count, got '²'\n"
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
 

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +116,48 @@ class TestParser:
         with pytest.raises(GraphFormatError, match="missing vertex count"):
             parse_graph("# nothing here\n")
 
+    def test_superscript_count_names_its_line(self):
+        # str.isdigit accepts "²", which int() then refuses
+        with pytest.raises(GraphFormatError, match="line 1: expected a vertex count, got '²'"):
+            parse_graph("²\n")
+
+    def test_non_ascii_digits_name_their_line(self):
+        with pytest.raises(GraphFormatError, match="line 1: expected a vertex count"):
+            parse_graph("٣\n٠ -- ١\n")
+        with pytest.raises(GraphFormatError, match="line 2: malformed edge '٠ -- ١'"):
+            parse_graph("3\n٠ -- ١\n")
+
+    def test_too_many_digits_name_their_line(self):
+        # int() refuses more digits than sys.get_int_max_str_digits()
+        with pytest.raises(GraphFormatError, match="line 1: Exceeds the limit"):
+            parse_graph("9" * 5000 + "\n")
+        with pytest.raises(GraphFormatError, match="line 3: Exceeds the limit"):
+            parse_graph("3\n0 -> 1\n0 -> " + "1" * 5000 + "\n")
+
+    def test_whitespace_separators_and_comments(self):
+        text = "\u00a03\u3000# count\r\n0\t->\t1 # arc\r2\u00a0--\u00a01\x0b\u2028# end"
+        assert parse_graph(text) == MixedGraph.from_edges(3, [(1, 2)], [(0, 1)])
+        with pytest.raises(GraphFormatError, match="line 4: loop at vertex 2"):
+            parse_graph("3\r0 -> 1\x0b\u20282 -> 2\n")
+
+    def test_matches_line_reference_on_decorated_text(self):
+        errors = 0
+        for seed in range(3000):
+            text = decorated_text(random.Random(seed))
+            try:
+                want = reference_parse(text)
+            except GraphFormatError as exc:
+                errors += 1
+                with pytest.raises(GraphFormatError) as got:
+                    parse_graph(text)
+                assert str(got.value) == str(exc), text
+                continue
+            g = parse_graph(text)
+            assert g == want and hash(g) == hash(want), text
+            assert g.sorted_edges == want.sorted_edges
+        # both outcomes are well represented
+        assert 600 < errors < 2400
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(0, 5).flatmap(
@@ -124,6 +170,78 @@ class TestParser:
         n, code = pair
         g = mixed_graph_from_code(n, code)
         assert parse_graph(serialize_graph(g)) == g
+
+
+_REFERENCE_EDGE = re.compile(r"^([0-9]+)\s*(--|->)\s*([0-9]+)$")
+
+
+def reference_parse(text: str) -> MixedGraph:
+    """The line-at-a-time parser that built a frozenset of edges for the
+    public constructor, with digits read as ASCII only."""
+    n = None
+    edges = []
+    seen = set()
+    for idx, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if n is None:
+            if not (line.isascii() and line.isdigit()):
+                raise GraphFormatError(f"line {idx}: expected a vertex count, got {raw.strip()!r}")
+            n = int(line)
+            continue
+        m = _REFERENCE_EDGE.match(line)
+        if not m:
+            raise GraphFormatError(f"line {idx}: malformed edge {raw.strip()!r}")
+        u, v = int(m.group(1)), int(m.group(3))
+        if u == v:
+            raise GraphFormatError(f"line {idx}: loop at vertex {u}")
+        if u >= n or v >= n:
+            raise GraphFormatError(f"line {idx}: vertex id out of range for n={n}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise GraphFormatError(f"line {idx}: second edge for pair {key}")
+        seen.add(key)
+        edges.append(Edge.digon(u, v) if m.group(2) == "--" else Edge.arc(u, v))
+    if n is None:
+        raise GraphFormatError("missing vertex count line")
+    return MixedGraph(n, frozenset(edges))
+
+
+_SPACES = ["", " ", "  ", "\t", "\u00a0", "\u3000"]
+_BREAKS = ["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028"]
+_JUNK = ["x", "0 -- ", "-> 1", "1 2", "٣", "²", "0 <- 1", "0 --- 1", "#", "0 -- 1 x", "1 -> 1"]
+
+
+def decorated_text(rng: random.Random) -> str:
+    """A random graph written with random spacing, comments, blank lines and
+    line breaks, sometimes with a line out of place or a second edge on a
+    pair."""
+    n = rng.randrange(0, 7)
+    edges = []
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < 0.5:
+            edges.append((u, v) if rng.random() < 0.5 else (v, u))
+    if edges and rng.random() < 0.1:
+        edges.append(rng.choice(edges)[::-1])
+    if n > 1 and rng.random() < 0.15:
+        edges.append((rng.randrange(n), n + rng.randrange(2)))
+    lines = [
+        f"{u}{rng.choice(_SPACES)}{rng.choice(['--', '->'])}{rng.choice(_SPACES)}{v}"
+        for u, v in edges
+    ]
+    rng.shuffle(lines)
+    lines.insert(0 if rng.random() < 0.9 else rng.randrange(len(lines) + 1), str(n))
+    for _ in range(rng.randrange(3)):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "# note", " \t", *_JUNK[:2]]))
+    if rng.random() < 0.3:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(_JUNK))
+    out = []
+    for line in lines:
+        pad = rng.choice(_SPACES), rng.choice(_SPACES)
+        note = rng.choice(["", "", f"#{rng.choice(_JUNK)}"])
+        out.append(pad[0] + line + pad[1] + note + rng.choice(_BREAKS))
+    return "".join(out)
 
 
 class TestWalk:
@@ -288,3 +406,165 @@ class TestSimpleCycles:
     def test_max_len_guard(self, uc3):
         with pytest.raises(ValueError):
             enumerate_simple_cycles(uc3, 2)
+
+
+def random_edges(rng: random.Random, n: int, edge_prob: float) -> list[Edge]:
+    edges = []
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < edge_prob:
+            edges.append(rng.choice([Edge.digon(u, v), Edge.arc(u, v), Edge.arc(v, u)]))
+    return edges
+
+
+def reference_views(n: int, edges: list[Edge]) -> dict:
+    """Pair codes, neighbour lists and the spanning forest as they were built
+    from the frozenset of edges, before graphs kept an edge table."""
+    codes = {}
+    for e in edges:
+        step = 0 if e.kind is EdgeKind.DIGON else 1
+        codes[e.u, e.v] = step
+        codes[e.v, e.u] = -step
+    neighbors = [[] for _ in range(n)]
+    for x, w in sorted(codes):
+        neighbors[x].append(w)
+    parents, roots, depths, balances = [None] * n, [-1] * n, [0] * n, [0] * n
+    for r in range(n):
+        if roots[r] != -1:
+            continue
+        roots[r] = r
+        queue = [r]
+        for x in queue:
+            for y in neighbors[x]:
+                if roots[y] == -1:
+                    roots[y], parents[y] = r, x
+                    depths[y] = depths[x] + 1
+                    balances[y] = balances[x] + codes[x, y]
+                    queue.append(y)
+    sorted_edges = tuple(sorted(edges, key=lambda e: e.pair))
+    non_tree = tuple(e for e in sorted_edges if parents[e.u] != e.v and parents[e.v] != e.u)
+    return {
+        "sorted_edges": sorted_edges,
+        "codes": codes,
+        "neighbors": tuple(map(tuple, neighbors)),
+        "digon": tuple(tuple(w for w in neighbors[v] if codes[v, w] == 0) for v in range(n)),
+        "out": tuple(tuple(w for w in neighbors[v] if codes[v, w] == 1) for v in range(n)),
+        "in": tuple(tuple(w for w in neighbors[v] if codes[v, w] == -1) for v in range(n)),
+        "non_tree": non_tree,
+        "parents": tuple(parents),
+        "roots": tuple(roots),
+        "depths": tuple(depths),
+        "balances": tuple(balances),
+        "cycle_balances": tuple(balances[e.u] + codes[e.u, e.v] - balances[e.v] for e in non_tree),
+        "cycle_parities": tuple((depths[e.u] + depths[e.v] + 1) % 2 for e in non_tree),
+    }
+
+
+def assert_matches_frozenset_build(g: MixedGraph, n: int, edges: list[Edge]) -> None:
+    ref = MixedGraph(n, frozenset(edges))
+    assert g == ref and hash(g) == hash(ref)
+    assert g.edges == frozenset(edges)
+    views = reference_views(n, edges)
+    assert g.sorted_edges == ref.sorted_edges == views["sorted_edges"]
+    for u in range(n):
+        for v in range(n):
+            assert g.pair_code(u, v) == views["codes"].get((u, v))
+        assert g.neighbors(u) == views["neighbors"][u]
+        assert g.digon_neighbors(u) == views["digon"][u]
+        assert g.out_neighbors(u) == views["out"][u]
+        assert g.in_neighbors(u) == views["in"][u]
+    assert degree_profile(g).degrees == tuple(map(len, views["neighbors"]))
+    basis = g.cycle_basis
+    for name in ("non_tree", "parents", "roots", "depths", "balances",
+                 "cycle_balances", "cycle_parities"):
+        assert getattr(basis, name) == views[name], name
+    assert basis == ref.cycle_basis
+    for e, cycle, balance in zip(basis.non_tree, basis.cycles, basis.cycle_balances):
+        # down the tree to the stored tail, across the edge, back up
+        i = cycle.vertices.index(e.u)
+        assert cycle.vertices[i + 1] == e.v
+        assert cycle.is_closed and len(set(cycle.vertices)) == cycle.edge_count
+        assert arc_balance(g, cycle).balance == balance
+
+
+def test_table_matches_frozenset_build_small():
+    rng = random.Random(1201)
+    for trial in range(390):
+        n = trial % 13
+        edges = random_edges(rng, n, rng.choice([0.1, 0.3, 0.6, 0.9]))
+        g = parse_graph(serialize_graph(MixedGraph(n, frozenset(edges))))
+        assert_matches_frozenset_build(g, n, edges)
+
+
+@pytest.mark.parametrize("n", [60, 97, 143, 200])
+def test_table_matches_frozenset_build_large(n):
+    rng = random.Random(n)
+    # about 1.2 n edges, as on the large benchmark inputs, and a dense draw
+    for edge_prob in (2.4 / n, 0.3):
+        edges = random_edges(rng, n, edge_prob)
+        g = parse_graph(serialize_graph(MixedGraph(n, frozenset(edges))))
+        assert_matches_frozenset_build(g, n, edges)
+
+
+def test_code_decoding_matches_edge_by_edge_build():
+    for n in range(5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for code in range(4 ** len(pairs)):
+            edges = []
+            for p, (u, v) in enumerate(pairs):
+                digit = code // 4**p % 4
+                if digit:
+                    edges.append([Edge.digon(u, v), Edge.arc(u, v), Edge.arc(v, u)][digit - 1])
+            g, ref = mixed_graph_from_code(n, code), MixedGraph(n, frozenset(edges))
+            assert g == ref and hash(g) == hash(ref)
+            assert g.sorted_edges == ref.sorted_edges
+
+
+def test_equality_follows_vertex_count_and_table():
+    g = MixedGraph.from_edges(3, [(0, 1)], [(2, 1)])
+    assert g == parse_graph("3\n2 -> 1\n1 -- 0\n")
+    assert g != MixedGraph.from_edges(4, [(0, 1)], [(2, 1)])
+    assert g != MixedGraph.from_edges(3, [(0, 1)], [(1, 2)])
+    assert len({g, parse_graph(serialize_graph(g))}) == 1
+
+
+_LOWEST_OFFENDER = """
+from hermix import (
+    Edge, MixedGraph, MonographKind, NumericalError, make_alpha, mixed_graph_from_code,
+)
+from hermix.monographs import _check_partition_edges
+
+for n, edges in [
+    (4, [Edge.arc(0, 1), Edge.arc(1, 0), Edge.arc(0, 2), Edge.digon(0, 2),
+         Edge.arc(0, 3), Edge.arc(3, 0)]),
+    (4, [Edge.arc(0, 5), Edge.arc(6, 1), Edge.digon(2, 7)]),
+]:
+    try:
+        MixedGraph(n, frozenset(edges))
+    except ValueError as exc:
+        print(exc)
+# not a monograph for i, so more than one edge breaks the rule
+graph = mixed_graph_from_code(5, 2037)
+try:
+    _check_partition_edges(graph, make_alpha("root:1/4"), MonographKind.FIRST)
+except NumericalError as exc:
+    print(exc)
+"""
+
+
+def test_errors_name_lowest_offender_independent_of_hash_seed():
+    # a frozenset of edges iterates in the string-hash order of the edge
+    # kinds; each error must name the first offender in sorted_edges order
+    outputs = set()
+    for seed in ("1", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOWEST_OFFENDER], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert outputs == {
+        "more than one edge for pair (0, 1)\n"
+        "edge (0, 5) uses a vertex id >= n=4\n"
+        "partition edge rule failed on the graph (n=5, 6 edges, alpha root:1/4): "
+        "violated at edge (2, 1)\n"
+    }

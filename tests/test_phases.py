@@ -133,7 +133,32 @@ class TestMakeAlpha:
         assert quarter.order == math.inf
 
 
+def four_phase_walk_value(alpha: Phase, balance: int, edges: int, signed: bool) -> Phase:
+    """The walk value composed of phases: alpha to the balance, times the
+    power of minus one."""
+    value = alpha**balance
+    return value * Phase.minus_one() ** edges if signed else value
+
+
 class TestWalkValues:
+    def test_walk_value_matches_four_phase_composition(self):
+        alphas = [
+            ALPHA_ONE, ALPHA_I, ALPHA_GAMMA, ALPHA_OMEGA,
+            make_alpha("root:2/5"), make_alpha("root:-3/7"), make_alpha("root:5/12"),
+            make_alpha("angle:0.7"), make_alpha("angle:2.1"), make_alpha("angle:-3.3"),
+            Phase.from_angle(1e-17), Phase(-1e-20), Phase(0.1), Phase(1 / 3),
+        ]
+        for alpha in alphas:
+            for balance in range(-24, 25):
+                for edges in range(-3, 14):
+                    for signed in (False, True):
+                        got = alpha.walk_value(balance, edges, signed)
+                        want = four_phase_walk_value(alpha, balance, edges, signed)
+                        assert got == want
+                        # floats to the last bit, exact rotations as exact
+                        assert type(got.rotation) is type(want.rotation)
+                        assert repr(got.rotation) == repr(want.rotation)
+
     def test_balance_counts_directions(self, dc3):
         w = Walk((0, 1, 2, 0))
         assert arc_balance(dc3, w) == (3, 3)
