@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Every subcommand reads a graph file (or ``-`` for stdin) in the plain text
-format, takes the phase through ``--alpha``, and prints one JSON object on
-stdout.  ``search-cospectral`` is the exception: it takes no graph file and
-streams one JSON object per hit.
+format, as UTF-8, takes the phase through ``--alpha``, and prints one JSON
+object on stdout.  ``search-cospectral`` is the exception: it takes no graph
+file and streams one JSON object per hit.
 
 Exit codes: 0 success, 2 bad input of any sort, 1 a numerical check failed.
 A reader that closes stdout early (``| head``) ends the output quietly, with
@@ -125,9 +125,13 @@ def _emit(obj: Any) -> None:
 
 
 def _read_graph(path: str) -> MixedGraph:
+    """The graph in a file or on stdin, read as UTF-8.  A byte that is not
+    UTF-8 reads as U+FFFD: a comment skips it, anywhere else the parser's
+    error names its line."""
     if path == "-":
-        return parse_graph(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
+        raw = getattr(sys.stdin, "buffer", None)  # None on a str-only stream
+        return parse_graph(raw.read().decode("utf-8", "replace") if raw else sys.stdin.read())
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         return parse_graph(fh.read())
 
 

@@ -2,19 +2,19 @@
 
 The numeric test compares sorted spectra and characteristic polynomial
 coefficients; both must agree within tolerance for a cospectral verdict.
-Alongside it run cheap structural sufficient conditions:
+Alongside it run four structural flags, each a monograph verdict:
 
-* trees have no cycles, so the phase never shows up at all;
-* a graph whose fundamental cycles all have even arc balance keeps its
-  spectrum when switching between the phases at one third and one sixth of
-  a turn (the two sixth roots of unity with positive imaginary part);
-* arc-only bipartite graphs satisfy that condition for free;
-* a graph that is a monograph (either kind) for both phases has its
-  spectrum pinned to plus or minus the underlying one by the phases' kinds.
+* even arc parity: a first-kind monograph at alpha = -1;
+* oriented bipartite: no digon, and a second-kind monograph at alpha = 1;
+* tree: no cycle, so a monograph of both kinds under every phase;
+* a monograph of one kind for both phases, which pins both spectra to the
+  underlying one or to its negation.
 
-None of the conditions is necessary.  When a condition fires but the
-numeric verdict disagrees, something is numerically wrong and the check
-raises instead of returning a quiet answer.
+Cospectrality is promised by the last flag, and by even arc parity when the
+phases are the two at one third and one sixth of a turn; trees and oriented
+bipartite graphs fall under these.  None of the conditions is necessary.
+When a promise fails numerically, the check raises instead of returning a
+quiet answer.
 
 The search helpers enumerate mixed graphs by a base-4 code over the vertex
 pairs in lexicographic order: 0 no edge, 1 digon, 2 arc low to high, 3 arc
@@ -28,11 +28,11 @@ polynomial under the first phase (imaginary residue, then the cross-check
 against the eigenvalues), then the second, and last the structural guard.
 The first stage that fails raises NumericalError for its lowest failing
 graph, before any later stage runs.  ``numeric_cospectral`` hands it a stack
-of one, with the flags read from the graph's cycle basis.
+of one, its flags from :func:`is_monograph` under the six rules they read.
 
 The search never builds a graph per code.  It scans codes in fixed chunks of
 ``SEARCH_CHUNK``: digits are decoded into stacks of Hermitian matrices, one
-per phase, and the four structural flags come from one vectorised union-find
+per phase, and the same six verdicts come from one vectorised union-find
 sweep over the vertex pairs, which closes each fundamental cycle with a
 known arc balance and length parity; the verdict then runs on the whole
 chunk.  Only the hits become :class:`MixedGraph` objects.  Exhaustive search
@@ -44,7 +44,7 @@ index.
 from __future__ import annotations
 
 import random
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -53,7 +53,7 @@ import numpy as np
 from .errors import NumericalError, ScaleLimitError
 from .graphs import _DIGIT_STEP, MixedGraph
 from .monographs import MonographKind, _keys, _rule, is_monograph
-from .phases import Phase
+from .phases import ALPHA_ONE, Phase
 from .spectra import (
     DEFAULT_TOL,
     _char_poly_checked,
@@ -84,6 +84,7 @@ MAX_RANDOM_VERTICES = 8
 SEARCH_CHUNK = 512
 
 _SIXTH_PAIR = {Fraction(1, 3), Fraction(1, 6)}
+_MINUS_ONE = Phase.minus_one()
 
 
 @dataclass(frozen=True)
@@ -104,12 +105,7 @@ class StructuralFlags:
     monograph_both: bool
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "even_arc_condition": self.even_arc_condition,
-            "oriented_bipartite": self.oriented_bipartite,
-            "tree": self.tree,
-            "monograph_both": self.monograph_both,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -122,38 +118,38 @@ class CospectralReport:
 
 
 def even_arc_condition(graph: MixedGraph) -> bool:
-    """Every cycle crosses an even number of arcs.
-
-    Arc parity of a cycle is linear over GF(2) in the fundamental basis, so
-    checking the basis cycles settles all cycles at once.  A cycle's arc
-    count and its arc balance (forward minus backward arcs) differ by twice
-    the backward arcs, so the balances the spanning forest records decide
-    it: every fundamental cycle balance must be even.
-    """
-    return all(bal % 2 == 0 for bal in graph.cycle_basis.cycle_balances)
+    """Every cycle crosses an even number of arcs: a first-kind monograph at
+    alpha = -1, where a digon step has value 1 and an arc step -1."""
+    return is_monograph(graph, _MINUS_ONE, MonographKind.FIRST).verdict
 
 
 def oriented_bipartite(graph: MixedGraph) -> bool:
-    """No digons and the underlying graph is bipartite.
-
-    Cycle length parity is linear over GF(2) in the fundamental basis too,
-    and a graph is bipartite exactly when it has no odd cycle, so every
-    fundamental cycle must have an even number of edges: every length parity
-    the spanning forest records must be 0.
-    """
-    if any(digit == 1 for _, _, digit in graph._table):
-        return False
-    return not any(graph.cycle_basis.cycle_parities)
+    """No digons and the underlying graph is bipartite: a digon-free
+    second-kind monograph at alpha = 1, where every step has value -1."""
+    return not _has_digon(graph) and is_monograph(graph, ALPHA_ONE, MonographKind.SECOND).verdict
 
 
-def _same_kind_both(graph: MixedGraph, alpha1: Phase, alpha2: Phase) -> bool:
-    for kind in (MonographKind.FIRST, MonographKind.SECOND):
-        if (
-            is_monograph(graph, alpha1, kind).verdict
-            and is_monograph(graph, alpha2, kind).verdict
-        ):
-            return True
-    return False
+def _has_digon(graph: MixedGraph) -> bool:
+    return any(digit == 1 for _, _, digit in graph._table)
+
+
+def _flag_rules(alpha1: Phase, alpha2: Phase) -> list[tuple[Phase, MonographKind]]:
+    """The six monograph rules the flags read, in the order
+    :func:`_structural_flags` takes their verdicts."""
+    first, second = MonographKind
+    return [(_MINUS_ONE, first), (ALPHA_ONE, second)] + [
+        (a, kind) for a in (alpha1, alpha2) for kind in (first, second)
+    ]
+
+
+def _structural_flags(
+    verdicts: Sequence[np.ndarray], cyclic: np.ndarray, digon: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The fields of :class:`StructuralFlags`, in order, as boolean arrays
+    over graphs: from each graph's verdicts under the :func:`_flag_rules`,
+    whether it has a cycle and whether it has a digon."""
+    even_arc, all_even, first1, second1, first2, second2 = verdicts
+    return even_arc, ~digon & all_even, ~cyclic, (first1 & first2) | (second1 & second2)
 
 
 def numeric_cospectral(
@@ -170,21 +166,21 @@ def numeric_cospectral(
     NumericalError is raised; a sound implementation never reaches it.
     """
     stacks = [build_hermitian(graph, a).entries[None] for a in (alpha1, alpha2)]
-    flags = StructuralFlags(
-        even_arc_condition=even_arc_condition(graph),
-        oriented_bipartite=oriented_bipartite(graph),
-        tree=not graph.cycle_basis.cycle_parities,
-        monograph_both=_same_kind_both(graph, alpha1, alpha2),
+    flags = _structural_flags(
+        [np.array([is_monograph(graph, *rule).verdict]) for rule in _flag_rules(alpha1, alpha2)],
+        np.array([bool(graph.cycle_basis.cycle_parities)]),
+        np.array([_has_digon(graph)]),
     )
     max_gap = _checked_gaps(
         stacks,
-        [np.array([f]) for f in astuple(flags)],
+        flags,
         (alpha1, alpha2),
         tol,
         lambda _, alphas: _graph_source(graph, *alphas),
     )
     gap = float(max_gap[0])
-    return CospectralReport(alpha1, alpha2, gap <= tol, gap, flags)
+    report_flags = StructuralFlags(*(bool(f[0]) for f in flags))
+    return CospectralReport(alpha1, alpha2, gap <= tol, gap, report_flags)
 
 
 def _checked_gaps(
@@ -219,12 +215,12 @@ def _checked_gaps(
         np.max(np.abs(spectra[0] - spectra[1]), axis=-1, initial=0.0),
         np.max(np.abs(polys[0] - polys[1]), axis=-1, initial=0.0),
     )
-    # cospectrality is promised by a forest always, by even arc parity or
-    # oriented bipartiteness for the two sixth-turn phases, and by a
-    # monograph of one kind under both phases
-    even_arc, bipartite, tree, monograph_both = flags
+    # cospectrality is promised by a monograph of one kind under both phases
+    # (every forest is one) and, for the two sixth-turn phases, by even arc
+    # parity (which every oriented bipartite graph has)
+    even_arc, _, _, monograph_both = flags
     sixth_pair = {a.rotation for a in alphas} == _SIXTH_PAIR
-    promised = tree | (sixth_pair & (even_arc | bipartite)) | monograph_both
+    promised = monograph_both | (sixth_pair & even_arc)
     guard = _Check(
         "structural guard",
         promised & ~(max_gap <= tol),
@@ -352,16 +348,14 @@ class _ChunkScan:
         self.entries = [_digit_entries(a) for a in self.alphas]
         # a closing edge plus two tree paths: balance at most 2n - 1 in size
         self.span = 2 * n
+        # per flag rule, closing balance and length parity: is the cycle trivial?
         self.trivial = np.array(
             [
                 [
-                    [
-                        [key == 0 for key in _keys(_rule(a, kind), [b, b], (0, 1))]
-                        for b in range(-self.span, self.span + 1)
-                    ]
-                    for kind in (MonographKind.FIRST, MonographKind.SECOND)
+                    [key == 0 for key in _keys(_rule(a, kind), [b, b], (0, 1))]
+                    for b in range(-self.span, self.span + 1)
                 ]
-                for a in self.alphas
+                for a, kind in _flag_rules(alpha1, alpha2)
             ],
             dtype=bool,
         )
@@ -400,24 +394,22 @@ class _ChunkScan:
         ]
 
     def _flags(self, digits: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Even arc, oriented bipartite, tree and shared monograph kind, the
-        fields of :class:`StructuralFlags` in order.
+        """The fields of :class:`StructuralFlags` in order.
 
         Union-find over the pairs in code order keeps, per vertex, its root
         and the arc balance and length parity of a tree walk from the root.
         An edge inside one component closes a fundamental cycle whose balance
-        and parity follow from its ends; an edge between components moves the
-        second one under the first root, shifted by the same amounts.  Every
-        flag is a condition on the fundamental cycles of any spanning forest.
+        and parity follow from its ends, and the table says which flag rules
+        it breaks; an edge between components moves the second one under the
+        first root, shifted by the same amounts.  A graph passes a rule when
+        none of its fundamental cycles breaks it.
         """
         count, n = len(digits), self.n
         root = np.tile(np.arange(n), (count, 1))
         balance = np.zeros((count, n), dtype=np.int64)
         parity = np.zeros((count, n), dtype=np.int64)
         cyclic = np.zeros(count, dtype=bool)
-        odd_arcs = np.zeros(count, dtype=bool)
-        odd_length = np.zeros(count, dtype=bool)
-        nontrivial = np.zeros((2, 2, count), dtype=bool)
+        nontrivial = np.zeros((len(self.trivial), count), dtype=bool)
         step = np.array(_DIGIT_STEP)
         for p, (u, v) in enumerate(self.pairs):
             edge = digits[:, p] != 0
@@ -426,18 +418,9 @@ class _ChunkScan:
             same = root[:, u] == root[:, v]
             closes = edge & same
             cyclic |= closes
-            odd_arcs |= closes & (shift % 2 == 1)
-            odd_length |= closes & (flip == 1)
-            nontrivial |= closes & ~self.trivial[:, :, shift + self.span, flip]
+            nontrivial |= closes & ~self.trivial[:, shift + self.span, flip]
             moved = (edge & ~same)[:, None] & (root == root[:, v, None])
             balance = np.where(moved, balance + shift[:, None], balance)
             parity = np.where(moved, parity ^ flip[:, None], parity)
             root = np.where(moved, root[:, u, None], root)
-        mono = ~nontrivial
-        digon = np.any(digits == 1, axis=-1)
-        return (
-            ~odd_arcs,
-            ~(digon | odd_length),
-            ~cyclic,
-            (mono[0, 0] & mono[1, 0]) | (mono[0, 1] & mono[1, 1]),
-        )
+        return _structural_flags(~nontrivial, cyclic, np.any(digits == 1, axis=-1))

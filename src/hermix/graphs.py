@@ -179,53 +179,26 @@ class MixedGraph:
             steps[hi].append((lo, -code))
         return tuple(map(tuple, steps))
 
-    @cached_property
-    def _codes(self) -> dict[tuple[int, int], int]:
-        # 0 digon, +1 arc traversed with its direction, -1 against it
-        codes: dict[tuple[int, int], int] = {}
-        for lo, hi, digit in self._table:
-            codes[lo, hi] = _DIGIT_STEP[digit]
-            codes[hi, lo] = -_DIGIT_STEP[digit]
-        return codes
-
     def pair_code(self, u: int, v: int) -> int | None:
         """0 for a digon, +1/-1 for an arc traversed with/against its direction,
         None when u and v are not adjacent."""
-        return self._codes.get((u, v))
+        steps = self._steps[u] if 0 <= u < self.n else ()
+        return next((code for w, code in steps if w == v), None)
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Neighbors in the underlying graph, ascending."""
         return tuple(w for w, _ in self._steps[u])
 
-    @cached_property
-    def _split_neighbors(
-        self,
-    ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        # digon, out-arc and in-arc lists, ascending for the reason _steps gives
-        dig: list[list[int]] = [[] for _ in range(self.n)]
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        inc: list[list[int]] = [[] for _ in range(self.n)]
-        for lo, hi, digit in self._table:
-            if digit == 1:
-                dig[lo].append(hi)
-                dig[hi].append(lo)
-            else:
-                tail, head = (lo, hi) if digit == 2 else (hi, lo)
-                out[tail].append(head)
-                inc[head].append(tail)
-        freeze = lambda rows: tuple(map(tuple, rows))
-        return freeze(dig), freeze(out), freeze(inc)
-
     def digon_neighbors(self, u: int) -> tuple[int, ...]:
-        return self._split_neighbors[0][u]
+        return tuple(w for w, code in self._steps[u] if code == 0)
 
     def out_neighbors(self, u: int) -> tuple[int, ...]:
         """Heads of arcs leaving u."""
-        return self._split_neighbors[1][u]
+        return tuple(w for w, code in self._steps[u] if code == 1)
 
     def in_neighbors(self, u: int) -> tuple[int, ...]:
         """Tails of arcs entering u."""
-        return self._split_neighbors[2][u]
+        return tuple(w for w, code in self._steps[u] if code == -1)
 
 
 @dataclass(frozen=True)

@@ -110,7 +110,9 @@ class Phase:
     rotation: Rotation
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rotation", self.rotation % 1)
+        rotation = self.rotation % 1
+        # a float just below 0 reduces to 1.0, which is the rotation 0
+        object.__setattr__(self, "rotation", rotation if rotation < 1 else 0.0)
 
     @classmethod
     def from_root(cls, k: int, n: int) -> "Phase":

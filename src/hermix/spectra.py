@@ -330,7 +330,7 @@ def spectra_equal(a: Spectrum, b: Spectrum, tol: float = DEFAULT_TOL) -> bool:
     return all(abs(x - y) <= tol for x, y in zip(a, b))
 
 
-def _neighbor_sums(x: np.ndarray, lists: list[tuple[int, ...]]) -> np.ndarray:
+def _neighbor_sums(x: np.ndarray, lists: list[list[int]]) -> np.ndarray:
     """Row u of the result sums the rows of ``x`` at ``lists[u]``.
 
     ``x`` carries one extra zero row, which pads the short lists.  Slot j
@@ -365,10 +365,15 @@ def _pair_residuals(
     n, m = vectors.shape
     x = np.zeros((n + 1, m), dtype=np.complex128)
     x[:n] = vectors
-    rhs = _neighbor_sums(x, [graph.digon_neighbors(u) for u in range(n)])
+    # digon, out-arc and in-arc lists by pair code, each ascending like _steps
+    lists: dict[int, list[list[int]]] = {code: [[] for _ in range(n)] for code in (0, 1, -1)}
+    for u, steps in enumerate(graph._steps):
+        for w, code in steps:
+            lists[code][u].append(w)
+    rhs = _neighbor_sums(x, lists[0])
     a = alpha.value
-    for phase, nbrs in ((a, graph.out_neighbors), (a.conjugate(), graph.in_neighbors)):
-        s = _neighbor_sums(x, [nbrs(u) for u in range(n)])
+    for phase, nbrs in ((a, lists[1]), (a.conjugate(), lists[-1])):
+        s = _neighbor_sums(x, nbrs)
         rhs.real += phase.real * s.real - phase.imag * s.imag
         rhs.imag += phase.real * s.imag + phase.imag * s.real
     x = x[:n]

@@ -547,6 +547,31 @@ class TestErrorPaths:
         assert main(["spectrum", "--alpha", "i", str(path)]) == 2
         assert capsys.readouterr().err == "error: line 1: expected a vertex count, got '²'\n"
 
+    @staticmethod
+    def _spectrum_of_bytes(data, source, tmp_path, monkeypatch):
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            return main(["spectrum", "--alpha", "i", "-"])
+        path = tmp_path / "latin1.mg"
+        path.write_bytes(data)
+        return main(["spectrum", "--alpha", "i", str(path)])
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_utf8_byte_in_a_comment_is_skipped(self, capsys, tmp_path, monkeypatch, source):
+        data = b"3\n0 -> 1 # caf\xe9\n1 -- 2\n"
+        assert self._spectrum_of_bytes(data, source, tmp_path, monkeypatch) == 0
+        out = capsys.readouterr().out
+        plain = tmp_path / "plain.mg"
+        plain.write_text("3\n0 -> 1\n1 -- 2\n")
+        assert main(["spectrum", "--alpha", "i", str(plain)]) == 0
+        assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_utf8_byte_elsewhere_names_its_line(self, capsys, tmp_path, monkeypatch, source):
+        data = b"3\n0 -> 1\n1 -\xe9- 2\n"
+        assert self._spectrum_of_bytes(data, source, tmp_path, monkeypatch) == 2
+        assert capsys.readouterr().err == "error: line 3: malformed edge '1 -\ufffd- 2'\n"
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
 

@@ -465,3 +465,70 @@ class TestSoundnessSmall:
             gamma = char_poly_expansion(g, ALPHA_GAMMA).coefficients
             omega = char_poly_expansion(g, ALPHA_OMEGA).coefficients
             assert gamma == omega
+
+
+def test_flags_imply_the_promise_they_dropped(per_graph):
+    """The guard's promise is a shared monograph kind, or even arc parity for
+    the sixth-turn pair: a tree is a monograph of both kinds for every phase,
+    and an oriented bipartite graph has even arc parity."""
+    _, _, reports = per_graph
+    for key, report in reports.items():
+        flags = report.flags
+        assert not flags.tree or flags.monograph_both, key
+        assert not flags.oriented_bipartite or flags.even_arc_condition, key
+
+
+class TestGuardPromise:
+    """With ``tol=-1`` no gap is within tolerance, so every promise raises."""
+
+    def test_trees_under_any_pair(self):
+        rng = random.Random(127)
+        pairs = [
+            (ALPHA_I, ALPHA_GAMMA),
+            (ALPHA_ONE, ALPHA_OMEGA),
+            (make_alpha("root:1/5"), make_alpha("angle:1.0")),
+        ]
+        for _ in range(25):
+            t = random_mixed_tree(rng, rng.randrange(1, 9))
+            for a1, a2 in pairs:
+                with pytest.raises(NumericalError, match="^structural guard failed"):
+                    numeric_cospectral(t, a1, a2, tol=-1.0)
+
+    def test_oriented_four_cycle_under_gamma_omega(self, dc4):
+        # promised by even arc parity alone: no shared monograph kind
+        flags = numeric_cospectral(dc4, ALPHA_GAMMA, ALPHA_OMEGA).flags
+        assert flags == StructuralFlags(True, True, False, False)
+        with pytest.raises(NumericalError, match="^structural guard failed"):
+            numeric_cospectral(dc4, ALPHA_GAMMA, ALPHA_OMEGA, tol=-1.0)
+
+
+def _oriented_bipartite_count(n: int) -> int:
+    """How many codes on n vertices have no digon and a bipartite underlying
+    graph, counted without decoding any code: each bipartite underlying
+    graph counts once per orientation of its edges, 2**|E| times."""
+    pairs = list(combinations(range(n), 2))
+    total = 0
+    for mask in range(1 << len(pairs)):
+        edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+        if any(
+            all((colour >> u & 1) != (colour >> v & 1) for u, v in edges)
+            for colour in range(1 << n)
+        ):
+            total += 2 ** len(edges)
+    return total
+
+
+@pytest.mark.slow
+def test_exhaustive_n5_flags_gamma_omega():
+    """Every code on 5 vertices under gamma/omega, all reported: the
+    oriented bipartite flag fires on exactly the codes counted directly, and
+    both dropped promises are implied on every code."""
+    bipartite = scanned = 0
+    for _, _, report in search_cospectral(5, ALPHA_GAMMA, ALPHA_OMEGA, tol=math.inf):
+        flags = report.flags
+        scanned += 1
+        bipartite += flags.oriented_bipartite
+        assert not flags.tree or flags.monograph_both
+        assert not flags.oriented_bipartite or flags.even_arc_condition
+    assert scanned == 4**10
+    assert bipartite == _oriented_bipartite_count(5)

@@ -132,6 +132,14 @@ class TestMakeAlpha:
         assert not quarter.is_exact
         assert quarter.order == math.inf
 
+    def test_tiny_negative_angle_is_the_identity(self):
+        # -1e-17 % 1 is 1.0 in floating point; the rotation must still be 0
+        a = make_alpha("angle:-1e-17")
+        assert a == ALPHA_ONE and hash(a) == hash(ALPHA_ONE)
+        assert a.rotation == 0.0
+        assert str(a) == "angle:0"
+        assert a.turns == "0"
+
 
 def four_phase_walk_value(alpha: Phase, balance: int, edges: int, signed: bool) -> Phase:
     """The walk value composed of phases: alpha to the balance, times the
