@@ -49,7 +49,7 @@ from .monographs import (
 from .phases import ALPHA_ONE, Phase, make_alpha
 from .spectra import (
     DEFAULT_TOL,
-    EigenPair,
+    EigenBasis,
     build_hermitian,
     char_poly,
     eigen_decomposition,
@@ -124,15 +124,21 @@ def _emit(obj: Any) -> None:
     print(_json(obj))
 
 
-def _read_graph(path: str) -> MixedGraph:
-    """The graph in a file or on stdin, read as UTF-8.  A byte that is not
-    UTF-8 reads as U+FFFD: a comment skips it, anywhere else the parser's
-    error names its line."""
+def _read_text(path: str) -> str:
+    """The text of a file, or of stdin for ``-``, read as UTF-8.  A byte
+    that is not UTF-8 reads as U+FFFD, so the parser of the text reports it
+    as it would any other stray character."""
     if path == "-":
         raw = getattr(sys.stdin, "buffer", None)  # None on a str-only stream
-        return parse_graph(raw.read().decode("utf-8", "replace") if raw else sys.stdin.read())
+        return raw.read().decode("utf-8", "replace") if raw else sys.stdin.read()
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return parse_graph(fh.read())
+        return fh.read()
+
+
+def _read_graph(path: str) -> MixedGraph:
+    """The graph in a file or on stdin.  A comment skips a byte that is not
+    UTF-8; anywhere else the parser's error names its line."""
+    return parse_graph(_read_text(path))
 
 
 def _edges_json(graph: MixedGraph) -> list[list[Any]]:
@@ -205,7 +211,7 @@ def _cmd_partition(args: argparse.Namespace) -> None:
     )
 
 
-def _parse_basis(text: str, n: int) -> list[EigenPair]:
+def _parse_basis(text: str, n: int) -> EigenBasis:
     try:
         # every JSON number becomes a float, so one type check finds the rest:
         # no other value json builds has type float
@@ -214,7 +220,8 @@ def _parse_basis(text: str, n: int) -> list[EigenPair]:
         raise ValueError(f"basis is not valid JSON: {exc}") from None
     if not isinstance(data, list):
         raise ValueError("basis must be a JSON array of {lambda, vector}")
-    pairs = []
+    values = []
+    vectors = np.empty((n, len(data)), dtype=np.complex128)
     for k, item in enumerate(data):
         if not isinstance(item, dict) or "lambda" not in item or "vector" not in item:
             raise ValueError("each basis entry needs 'lambda' and 'vector'")
@@ -235,12 +242,9 @@ def _parse_basis(text: str, n: int) -> list[EigenPair]:
                 f"basis entry {k}: vector entry {i} is neither a number nor a "
                 f"[re, im] pair of numbers: {json.dumps(raw[i])}"
             )
-        vec = np.array(flat, dtype=np.float64).view(np.complex128)
-        try:
-            pairs.append(EigenPair(lam, vec))
-        except ValueError as exc:
-            raise ValueError(f"basis entry {k}: {exc}") from None
-    return pairs
+        values.append(lam)
+        vectors[:, k] = np.array(flat, dtype=np.float64).view(np.complex128)
+    return EigenBasis(np.array(values), vectors)
 
 
 def _cmd_transfer(args: argparse.Namespace) -> None:
@@ -248,23 +252,17 @@ def _cmd_transfer(args: argparse.Namespace) -> None:
     alpha = make_alpha(args.alpha)
     if args.basis is None:
         _, basis = eigen_decomposition(build_hermitian(graph, ALPHA_ONE))
-        basis = list(basis)
     else:
-        if args.basis == "-":
-            if args.graph == "-":
-                raise ValueError("graph and basis cannot both come from stdin")
-            text = sys.stdin.read()
-        else:
-            with open(args.basis, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        basis = _parse_basis(text, graph.n)
+        if args.basis == "-" and args.graph == "-":
+            raise ValueError("graph and basis cannot both come from stdin")
+        basis = _parse_basis(_read_text(args.basis), graph.n)
     moved, residual = transfer_eigenvectors(graph, alpha, basis)
     _emit(
         {
             "alpha": str(alpha),
             "pairs": [
-                {"lambda": pair.eigenvalue, "vector": pair.vector}
-                for pair in moved
+                {"lambda": lam, "vector": moved.vectors[:, j]}
+                for j, lam in enumerate(moved.values.tolist())
             ],
             "max_residual": residual,
         }

@@ -24,6 +24,11 @@ or 2q, is the walk's value in turns.  So a verdict does no phase arithmetic
 per cycle or per edge, builds the closed walk of a violating cycle only, and
 one phase per distinct potential.
 
+The potential of a first-kind monograph is also the gauge that carries an
+eigenbasis of the underlying graph onto the phase matrix: the transfer
+multiplies row v of the basis by the conjugate of v's potential, one
+conjugate per distinct potential.
+
 Angle-built alphas are treated as having infinite order, so for them a cycle
 value is trivial only when its arc balance is 0 (and its length even, for
 the second kind).  No attempt is made to recognize a float angle as a
@@ -32,7 +37,6 @@ rational turn.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -54,14 +58,14 @@ from .phases import ALPHA_ONE, Phase
 from .spectra import (
     DEFAULT_TOL,
     EIGEN_RESIDUAL_TOL,
-    EigenPair,
+    EigenBasis,
     Spectrum,
     _graph_source,
-    _pair_residuals,
     build_hermitian,
     eigen_decomposition,
     spectra_equal,
     spectral_radius,
+    verify_eigenpair,
 )
 
 __all__ = [
@@ -271,13 +275,6 @@ def _check_partition_edges(graph: MixedGraph, alpha: Phase, kind: MonographKind)
             )
 
 
-def _basis_residuals(graph: MixedGraph, alpha: Phase, pairs: Sequence[EigenPair]) -> np.ndarray:
-    """One residual per pair, from a single pass over the stacked basis."""
-    values = np.array([p.eigenvalue for p in pairs])
-    vectors = np.array([p.vector for p in pairs], dtype=np.complex128)
-    return _pair_residuals(graph, alpha, values, vectors.reshape(len(pairs), graph.n).T)
-
-
 def _first_above(resid: np.ndarray, bound: float) -> int | None:
     """Index of the first residual not within ``bound``; NaN counts as failing."""
     failed = np.flatnonzero(~(resid <= bound))
@@ -285,22 +282,21 @@ def _first_above(resid: np.ndarray, bound: float) -> int | None:
 
 
 def transfer_eigenvectors(
-    graph: MixedGraph, alpha: Phase, basis: Sequence[EigenPair]
-) -> tuple[list[EigenPair], float]:
+    graph: MixedGraph, alpha: Phase, basis: EigenBasis
+) -> tuple[EigenBasis, float]:
     """Turn an eigenbasis of the underlying graph into one of the phase matrix.
 
     Requires a first-kind monograph.  The input basis is verified against
     the underlying adjacency first, within ``EIGEN_RESIDUAL_TOL * n``.  The
-    transferred vector multiplies every entry by the conjugate of the vertex
-    potential, which keeps eigenvalues, norms and linear independence; the
-    transferred basis is verified within ``DEFAULT_TOL`` before it is
-    returned.  Each verification is one residual pass over the whole basis,
-    its neighbor sums taken from the graph's digon, out-arc and in-arc lists
-    rather than from the assembled matrix; an error names the first failing
-    pair in basis order.  Returns the transferred pairs and the largest of
-    their residuals (0.0 for an empty basis).
+    transferred basis multiplies every row by the conjugate of that vertex's
+    potential, which keeps eigenvalues, norms and linear independence; it is
+    verified within ``DEFAULT_TOL`` before it is returned.  Each
+    verification is one :func:`verify_eigenpair` pass over the whole basis;
+    an error names the first failing column in basis order.  Returns the
+    transferred basis and the largest of its residuals (0.0 for an empty
+    basis).
     """
-    cert = is_monograph(graph, alpha, MonographKind.FIRST)
+    cert, keys = _certify(graph, alpha, MonographKind.FIRST)
     if not cert.verdict:
         assert cert.violation is not None
         raise NotMonographError(
@@ -308,29 +304,25 @@ def transfer_eigenvectors(
             f"{list(cert.violation.vertices)} has nontrivial value"
         )
     assert cert.potential is not None
-    n = graph.n
-    # pairs before the first vector of the wrong length are verified first,
-    # so a bad pair earlier in the basis is the one reported
-    sized = list(itertools.takewhile(lambda p: len(p.vector) == n, basis))
-    resid = _basis_residuals(graph, ALPHA_ONE, sized)
-    bad = _first_above(resid, EIGEN_RESIDUAL_TOL * max(n, 1))
+    resid = verify_eigenpair(graph, ALPHA_ONE, basis.values, basis.vectors)
+    bad = _first_above(resid, EIGEN_RESIDUAL_TOL * max(graph.n, 1))
     if bad is not None:
         raise ValueError(
-            f"basis pair with eigenvalue {sized[bad].eigenvalue:.6g} fails verification "
+            f"basis pair with eigenvalue {basis.values[bad]:.6g} fails verification "
             f"against the underlying graph (residual {resid[bad]:.3e})"
         )
-    if len(sized) < len(basis):
-        raise ValueError(f"vector length {len(basis[len(sized)].vector)} does not match n={n}")
-    gauge = np.array([p.value.conjugate() for p in cert.potential], dtype=np.complex128)
-    out = [EigenPair(pair.eigenvalue, gauge * pair.vector) for pair in basis]
-    resid = _basis_residuals(graph, alpha, out)
+    # one conjugate per distinct potential, looked up per vertex by its key
+    conj = {k: p.value.conjugate() for k, p in dict(zip(keys, cert.potential)).items()}
+    gauge = np.array([conj[k] for k in keys], dtype=np.complex128)
+    moved = EigenBasis(basis.values, gauge[:, None] * basis.vectors)
+    resid = verify_eigenpair(graph, alpha, moved.values, moved.vectors)
     bad = _first_above(resid, DEFAULT_TOL)
     if bad is not None:
         raise NumericalError(
             f"transfer residual failed on {_graph_source(graph, alpha)}: "
             f"transferred pair residual {resid[bad]:.3e} exceeds {DEFAULT_TOL:.3e}"
         )
-    return out, float(resid.max(initial=0.0))
+    return moved, float(resid.max(initial=0.0))
 
 
 def negated_spectrum_check(

@@ -8,7 +8,8 @@ Every eigenvalue computation goes through LAPACK's complex Hermitian solver
 (``np.linalg.eigh`` / ``np.linalg.eigvalsh``) on the n x n matrix itself.
 It returns real eigenvalues and an orthonormal eigenbasis, degenerate
 eigenspaces included, so no post-processing is needed beyond a residual
-check.
+check.  A basis travels as one :class:`EigenBasis`: m eigenvalues and the
+n x m array of their unit eigenvectors, each column normalised once.
 
 Tolerances used across the package are centralized here, and so is every
 consistency check on a matrix, its eigenpairs and its polynomial.  Each
@@ -33,7 +34,7 @@ __all__ = [
     "HermitianMatrix",
     "Spectrum",
     "CharPoly",
-    "EigenPair",
+    "EigenBasis",
     "build_hermitian",
     "eigen_decomposition",
     "char_poly",
@@ -233,30 +234,43 @@ class CharPoly:
 
 
 @dataclass(frozen=True, eq=False)
-class EigenPair:
-    """An eigenvalue with a unit-norm complex eigenvector."""
+class EigenBasis:
+    """Eigenvalues with unit-norm complex eigenvectors: column j of the
+    n x m ``vectors`` belongs to ``values[j]``.
 
-    eigenvalue: float
-    vector: np.ndarray
+    Each column is divided by its own norm once, here: normalising again,
+    or taking the norms along an axis, can move the last bits of a vector
+    and so the printed residual digits.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.vector, dtype=np.complex128)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("eigenvector must be a nonempty 1-d array")
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(v))
-        if not math.isfinite(norm):
-            if not np.isfinite(v).all():
-                raise ValueError("eigenvector entries must be finite")
-            # finite entries near the float limit overflow the sum of squares
-            v = v / max(np.abs(v.real).max(), np.abs(v.imag).max())
-            norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            raise ValueError("eigenvector must be nonzero")
-        v = v / norm
-        v.setflags(write=False)
-        object.__setattr__(self, "vector", v)
-        object.__setattr__(self, "eigenvalue", float(self.eigenvalue))
+        values = np.array(self.values, dtype=np.float64)
+        v = np.asarray(self.vectors, dtype=np.complex128)
+        if values.ndim != 1 or v.ndim != 2 or v.shape[1] != len(values):
+            raise ValueError(f"eigenvalue and eigenvector shapes {values.shape}, {v.shape} differ")
+        unit = np.empty(v.shape, dtype=np.complex128)
+        for j in range(v.shape[1]):
+            col, fault = v[:, j], f"basis entry {j}: eigenvector"
+            if col.size == 0:
+                raise ValueError(f"{fault} must be a nonempty 1-d array")
+            with np.errstate(over="ignore"):
+                norm = float(np.linalg.norm(col))
+            if not math.isfinite(norm):
+                if not np.isfinite(col).all():
+                    raise ValueError(f"{fault} entries must be finite")
+                # finite entries near the float limit overflow the sum of squares
+                col = col / max(np.abs(col.real).max(), np.abs(col.imag).max())
+                norm = float(np.linalg.norm(col))
+            if norm == 0.0:
+                raise ValueError(f"{fault} must be nonzero")
+            unit[:, j] = col / norm
+        values.setflags(write=False)
+        unit.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "vectors", unit)
 
 
 def _digit_entries(alpha: Phase) -> np.ndarray:
@@ -276,24 +290,21 @@ def build_hermitian(graph: MixedGraph, alpha: Phase) -> HermitianMatrix:
     return HermitianMatrix(graph.n, a, _graph_source(graph, alpha))
 
 
-def eigen_decomposition(matrix: HermitianMatrix) -> tuple[Spectrum, list[EigenPair]]:
-    """Spectrum plus orthonormal eigenpairs, eigenvalues descending.
+def eigen_decomposition(matrix: HermitianMatrix) -> tuple[Spectrum, EigenBasis]:
+    """Spectrum plus an orthonormal eigenbasis, eigenvalues descending.
 
     One complex Hermitian ``eigh`` gives both; each eigenvalue is reported
     with its own column, so a degenerate eigenspace comes back as an
     orthonormal basis of that space.  Residuals above
     ``EIGEN_RESIDUAL_TOL * n`` raise NumericalError rather than returning
-    silently bad pairs.
+    a silently bad basis.
     """
-    n = matrix.n
-    if n == 0:
-        return Spectrum(()), []
     evals, evecs, check = _eigh_checked(matrix.entries[None])
     _raise_first([check], NumericalError, lambda _: matrix.source)
-    pairs = [EigenPair(evals[0, j], evecs[0, :, j]) for j in range(n - 1, -1, -1)]
-    # one source of truth: the spectrum lists exactly the pair eigenvalues,
+    basis = EigenBasis(evals[0, ::-1], evecs[0, :, ::-1])
+    # one source of truth: the spectrum lists exactly the basis eigenvalues,
     # so degenerate eigenvalues agree to the bit across both views
-    return Spectrum(tuple(p.eigenvalue for p in pairs)), pairs
+    return Spectrum(tuple(basis.values.tolist())), basis
 
 
 def char_poly(matrix: HermitianMatrix, spectrum: Spectrum) -> CharPoly:
@@ -347,22 +358,28 @@ def _neighbor_sums(x: np.ndarray, lists: list[list[int]]) -> np.ndarray:
     return total
 
 
-def _pair_residuals(
+def verify_eigenpair(
     graph: MixedGraph, alpha: Phase, values: np.ndarray, vectors: np.ndarray
 ) -> np.ndarray:
     """Largest violation of the vertex summation rule, one per column of the
     n x m ``vectors`` against the matching entry of ``values``.
 
-    At every vertex u the eigenvalue times x(u) must equal the sum of x over
-    digon neighbors, plus alpha times the sum over arc heads out of u, plus
-    conjugate alpha times the sum over arc tails into u.  The sums are taken
-    from the graph's neighbor lists, independent of the assembled matrix.
-    The complex products and moduli are written in real arithmetic: numpy's
-    vectorised complex multiply and ``abs`` may round differently from the
-    scalar ones, and this keeps every residual equal to the per-vertex sum
-    computed one vertex at a time.
+    The paper's eigenvector characterisation; acceptance check 4 runs it on
+    every transferred basis.  At every vertex u the eigenvalue times x(u)
+    must equal the sum of x over digon neighbors, plus alpha times the sum
+    over arc heads out of u, plus conjugate alpha times the sum over arc
+    tails into u.  The sums are taken from the graph's neighbor lists,
+    independent of the assembled matrix.  The complex products and moduli
+    are written in real arithmetic: numpy's vectorised complex multiply and
+    ``abs`` may round differently from the scalar ones, and this keeps every
+    residual equal to the per-vertex sum computed one vertex at a time.
     """
-    n, m = vectors.shape
+    n = graph.n
+    if vectors.ndim != 2 or len(vectors) != n:
+        raise ValueError(f"vector length {len(vectors)} does not match n={n}")
+    if vectors.shape[1] != len(values):
+        raise ValueError(f"{vectors.shape[1]} vectors for {len(values)} eigenvalues")
+    m = vectors.shape[1]
     x = np.zeros((n + 1, m), dtype=np.complex128)
     x[:n] = vectors
     # digon, out-arc and in-arc lists by pair code, each ascending like _steps
@@ -380,18 +397,3 @@ def _pair_residuals(
     return np.hypot(values * x.real - rhs.real, values * x.imag - rhs.imag).max(
         axis=0, initial=0.0
     )
-
-
-def verify_eigenpair(graph: MixedGraph, alpha: Phase, pair: EigenPair) -> float:
-    """Largest violation of the vertex summation rule.
-
-    The paper's eigenvector characterisation, checked on one pair; acceptance
-    check 4 runs it on every transferred eigenvector.  The residual pass of
-    :func:`_pair_residuals` on a stack of one pair: every vertex's neighbor
-    sums, taken straight from the graph's digon, out-arc and in-arc lists,
-    against the eigenvalue times its entry.
-    """
-    if len(pair.vector) != graph.n:
-        raise ValueError(f"vector length {len(pair.vector)} does not match n={graph.n}")
-    values = np.array([pair.eigenvalue])
-    return float(_pair_residuals(graph, alpha, values, pair.vector[:, None])[0])

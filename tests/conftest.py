@@ -150,6 +150,28 @@ def random_connected_mixed_graph(
     return MixedGraph.from_edges(n, digons, arcs)
 
 
+def level_monograph(rng: random.Random, n: int, q: int | None = None) -> MixedGraph:
+    """A first-kind monograph for every alpha of order dividing q (every
+    alpha when q is None), built from vertex levels: 0..5, or residues mod q.
+    A digon joins equal levels and an arc runs from level l to l + 1 (mod q),
+    so every cycle has arc balance 0 (mod q)."""
+    level = [rng.randrange(q or 6) for _ in range(n)]
+    digons: list[tuple[int, int]] = []
+    arcs: list[tuple[int, int]] = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            step = level[v] - level[u]
+            if q:
+                step = (step + 1) % q - 1
+            if abs(step) > 1 or rng.random() >= 0.3:
+                continue
+            if step == 0:
+                digons.append((u, v))
+            else:
+                arcs.append((u, v) if step == 1 else (v, u))
+    return MixedGraph.from_edges(n, digons, arcs)
+
+
 def reference_pair_residual(graph: MixedGraph, alpha: Phase, value: float, x) -> float:
     """The vertex summation rule checked one vertex at a time, in plain Python
     sums over the graph's neighbor lists: the reference the library's

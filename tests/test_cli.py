@@ -30,7 +30,7 @@ from hermix import (
 )
 from hermix.cli import _json, _parse_basis, main
 
-from conftest import complete_mixed, reference_json
+from conftest import complete_mixed, level_monograph, reference_json
 
 
 @pytest.fixture
@@ -133,7 +133,7 @@ class TestTransfer:
         # the reported residual is the worst one over the printed pairs
         _, basis = eigen_decomposition(build_hermitian(dc3, ALPHA_ONE))
         moved, _ = transfer_eigenvectors(dc3, ALPHA_GAMMA, basis)
-        worst = max(verify_eigenpair(dc3, ALPHA_GAMMA, p) for p in moved)
+        worst = verify_eigenpair(dc3, ALPHA_GAMMA, moved.values, moved.vectors).max()
         assert data["max_residual"] == float(f"{worst:.12g}")
         assert len(data["pairs"]) == 3
         lams = [p["lambda"] for p in data["pairs"]]
@@ -202,9 +202,9 @@ class TestTransfer:
     def test_basis_entries_read_exactly(self):
         # numbers and [re, im] pairs mixed; unit norm, so normalising leaves
         # every entry as it was read
-        pairs = _parse_basis('[{"lambda": 1, "vector": [[0.6, 0], 0, [0, -0.8]]}]', 3)
-        assert pairs[0].eigenvalue == 1.0
-        assert list(pairs[0].vector) == [0.6, 0.0, -0.8j]
+        basis = _parse_basis('[{"lambda": 1, "vector": [[0.6, 0], 0, [0, -0.8]]}]', 3)
+        assert list(basis.values) == [1.0]
+        assert list(basis.vectors[:, 0]) == [0.6, 0.0, -0.8j]
 
     def test_bad_basis_is_input_error(self, capsys, tmp_path, dc3_file):
         basis_path = tmp_path / "basis.json"
@@ -231,6 +231,29 @@ class TestTransfer:
             "error: basis pair with eigenvalue 2 fails verification against the "
             "underlying graph (residual 5.774e-01)"
         ]
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_utf8_basis_byte_is_a_json_error(
+        self, capsys, tmp_path, monkeypatch, uc3_file, source
+    ):
+        # the same bytes give the same error from a file and from stdin
+        data = b'[{"lambda": 2, "vector": [1, 1, 1]}]\xe9'
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            basis = "-"
+        else:
+            basis = str(tmp_path / "basis.json")
+            (tmp_path / "basis.json").write_bytes(data)
+        assert main(["transfer", "--alpha", "1", "--basis", basis, uc3_file]) == 2
+        assert capsys.readouterr().err == (
+            "error: basis is not valid JSON: Extra data: line 1 column 37 (char 36)\n"
+        )
+
+    def test_later_type_fault_reported_before_earlier_zero_vector(self):
+        # entries are checked for type and length first, then normalised
+        basis = '[{"lambda": 1, "vector": [0, 0, 0]}, {"lambda": 2, "vector": 5}]'
+        with pytest.raises(ValueError, match=r"^basis entry 1: vector is not an array: 5.0$"):
+            _parse_basis(basis, 3)
 
     def test_malformed_basis_json(self, capsys, tmp_path, dc3_file):
         basis_path = tmp_path / "basis.json"
@@ -377,6 +400,18 @@ class TestEmitter:
         assert len(out) == 54213
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "f35fdff8d174163bbe190358585c9848d59c5887b37f08b6e1a9db18ece0f6e4"
+        )
+
+    def test_transfer_monograph_n40_root_3_7_pinned(self, capsys, tmp_path):
+        # seven distinct potentials, so the gauge takes seven phases
+        path = tmp_path / "m40.mg"
+        path.write_text(serialize_graph(level_monograph(random.Random(37), 40, 7)))
+        assert main(["transfer", "--alpha", "root:3/7", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith('0.0548545908957]]}], "max_residual": 3.23397123828e-15}\n')
+        assert len(out) == 55016
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "896d33951aa5df03270085769955d79a3001e9040c0ea7c92c35d76adaca70e7"
         )
 
 

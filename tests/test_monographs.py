@@ -17,7 +17,7 @@ from hermix import (
     ALPHA_ONE,
     AttachDirection,
     Attachment,
-    EigenPair,
+    EigenBasis,
     MixedGraph,
     MonographKind,
     NotMonographError,
@@ -42,7 +42,12 @@ from hermix import (
 import hermix.graphs
 from hermix import Walk
 
-from conftest import random_connected_mixed_graph, random_mixed_graph, reference_pair_residual
+from conftest import (
+    level_monograph,
+    random_connected_mixed_graph,
+    random_mixed_graph,
+    reference_pair_residual,
+)
 
 FIRST = MonographKind.FIRST
 SECOND = MonographKind.SECOND
@@ -284,59 +289,82 @@ class TestPartition:
 class TestTransfer:
     def test_dc3_gamma_exact_vector(self, dc3):
         lam = 2.0
-        flat = np.ones(3, dtype=complex) / math.sqrt(3.0)
-        moved, worst = transfer_eigenvectors(dc3, ALPHA_GAMMA, [EigenPair(lam, flat)])
-        assert len(moved) == 1
-        assert worst == verify_eigenpair(dc3, ALPHA_GAMMA, moved[0])
+        flat = np.ones((3, 1), dtype=complex) / math.sqrt(3.0)
+        moved, worst = transfer_eigenvectors(dc3, ALPHA_GAMMA, EigenBasis([lam], flat))
+        assert moved.vectors.shape == (3, 1)
+        assert [worst] == list(verify_eigenpair(dc3, ALPHA_GAMMA, moved.values, moved.vectors))
         expected = np.array([1.0, GAMMA_VALUE**2, GAMMA_VALUE]) / math.sqrt(3.0)
-        got = moved[0].vector
+        got = moved.vectors[:, 0]
         # compare up to the global phase the solver cannot fix
         ratio = got[0] / expected[0]
         assert np.allclose(got, ratio * expected, atol=1e-12)
-        assert verify_eigenpair(dc3, ALPHA_GAMMA, moved[0]) <= 1e-12
+        assert worst <= 1e-12
 
     def test_full_basis_transfer(self, dc3):
         _, basis = eigen_decomposition(build_hermitian(dc3, ALPHA_ONE))
-        moved, worst = transfer_eigenvectors(dc3, ALPHA_GAMMA, list(basis))
-        assert worst == max(verify_eigenpair(dc3, ALPHA_GAMMA, p) for p in moved)
-        assert transfer_eigenvectors(dc3, ALPHA_GAMMA, []) == ([], 0.0)
-        for src, dst in zip(basis, moved):
-            assert dst.eigenvalue == src.eigenvalue
-            assert verify_eigenpair(dc3, ALPHA_GAMMA, dst) <= 1e-8
-        vectors = np.column_stack([p.vector for p in moved])
-        gram = vectors.conj().T @ vectors
+        moved, worst = transfer_eigenvectors(dc3, ALPHA_GAMMA, basis)
+        resid = verify_eigenpair(dc3, ALPHA_GAMMA, moved.values, moved.vectors)
+        assert worst == resid.max()
+        assert (resid <= 1e-8).all()
+        assert moved.values.tobytes() == basis.values.tobytes()
+        empty, none = transfer_eigenvectors(dc3, ALPHA_GAMMA, EigenBasis([], np.empty((3, 0))))
+        assert empty.vectors.shape == (3, 0) and none == 0.0
+        gram = moved.vectors.conj().T @ moved.vectors
         assert np.allclose(gram, np.eye(3), atol=1e-8)
+
+    @pytest.mark.parametrize("spec, q", [("root:3/7", 7), ("angle:0.7", None)])
+    def test_columns_are_gauged_eigh_columns_normalised_once(self, spec, q):
+        # the reference divides each column by its own norm exactly once; a
+        # second normalisation, or norms taken along an axis, change bits
+        alpha = make_alpha(spec)
+        rng = random.Random(71)
+        for n in (30, 45, 60):
+            g = level_monograph(rng, n, q)
+            cert = is_monograph(g, alpha, FIRST)
+            assert cert.potential is not None and len(set(cert.potential)) >= 5
+            matrix = build_hermitian(g, ALPHA_ONE)
+            _, basis = eigen_decomposition(matrix)
+            moved, _ = transfer_eigenvectors(g, alpha, basis)
+            evals, evecs = np.linalg.eigh(matrix.entries)
+            assert moved.values.tobytes() == evals[::-1].tobytes()
+            gauge = np.array([p.value.conjugate() for p in cert.potential])
+            for j in range(n):
+                v = evecs[:, n - 1 - j]
+                v = v / np.linalg.norm(v)
+                assert basis.vectors[:, j].tobytes() == v.tobytes()
+                w = gauge * v
+                assert moved.vectors[:, j].tobytes() == (w / np.linalg.norm(w)).tobytes()
 
     def test_requires_first_kind(self, dc3):
         _, basis = eigen_decomposition(build_hermitian(dc3, ALPHA_ONE))
         with pytest.raises(NotMonographError):
-            transfer_eigenvectors(dc3, ALPHA_I, list(basis))
+            transfer_eigenvectors(dc3, ALPHA_I, basis)
 
     def test_rejects_wrong_basis(self, uc3):
-        fake = EigenPair(2.0, np.array([1.0, 0.0, 0.0], dtype=complex))
+        fake = EigenBasis([2.0], np.array([[1.0], [0.0], [0.0]], dtype=complex))
         with pytest.raises(ValueError, match="fails verification"):
-            transfer_eigenvectors(uc3, ALPHA_ONE, [fake])
+            transfer_eigenvectors(uc3, ALPHA_ONE, fake)
 
     def test_names_the_first_failing_pair(self, uc3):
         _, basis = eigen_decomposition(build_hermitian(uc3, ALPHA_ONE))
-        fakes = [EigenPair(lam, np.array([1.0, 0.0, 0.0], dtype=complex)) for lam in (3.0, 5.0)]
-        short = EigenPair(2.0, np.ones(2, dtype=complex))
-        first = reference_pair_residual(uc3, ALPHA_ONE, 3.0, fakes[0].vector)
+        e0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+        first = reference_pair_residual(uc3, ALPHA_ONE, 3.0, e0)
         message = f"eigenvalue 3 fails verification against the underlying graph (residual {first:.3e})"
-        for order in (
-            [basis[0], fakes[0], basis[1], fakes[1]],
-            [basis[0], fakes[0], short, fakes[1]],
-        ):
-            with pytest.raises(ValueError) as err:
-                transfer_eigenvectors(uc3, ALPHA_GAMMA, order)
-            assert message in str(err.value)
+        mixed = EigenBasis(
+            [basis.values[0], 3.0, basis.values[1], 5.0],
+            np.column_stack([basis.vectors[:, 0], e0, basis.vectors[:, 1], e0]),
+        )
+        with pytest.raises(ValueError) as err:
+            transfer_eigenvectors(uc3, ALPHA_GAMMA, mixed)
+        assert message in str(err.value)
+        short = EigenBasis([2.0, 3.0], np.ones((2, 2), dtype=complex))
         with pytest.raises(ValueError, match=r"^vector length 2 does not match n=3$"):
-            transfer_eigenvectors(uc3, ALPHA_GAMMA, [basis[0], short, fakes[0]])
+            transfer_eigenvectors(uc3, ALPHA_GAMMA, short)
 
     def test_rejects_nan_pair(self, uc3):
-        pair = EigenPair(math.nan, np.ones(3, dtype=complex))
+        basis = EigenBasis([math.nan], np.ones((3, 1), dtype=complex))
         with pytest.raises(ValueError, match="residual nan"):
-            transfer_eigenvectors(uc3, ALPHA_ONE, [pair])
+            transfer_eigenvectors(uc3, ALPHA_ONE, basis)
 
 
 class TestNegatedSpectrum:

@@ -21,7 +21,7 @@ PUBLIC_NAMES = [
     "DegreeProfile",
     "Edge",
     "EdgeKind",
-    "EigenPair",
+    "EigenBasis",
     "FundamentalCycleBasis",
     "GraphFormatError",
     "HermitianMatrix",

@@ -13,7 +13,7 @@ from hermix import (
     ALPHA_GAMMA,
     ALPHA_I,
     ALPHA_ONE,
-    EigenPair,
+    EigenBasis,
     HermitianMatrix,
     MixedGraph,
     NumericalError,
@@ -26,7 +26,6 @@ from hermix import (
     spectral_radius,
     verify_eigenpair,
 )
-from hermix.spectra import _pair_residuals
 
 from conftest import numeric_char_poly, random_mixed_graph, reference_pair_residual
 
@@ -120,65 +119,87 @@ class TestEigenDecomposition:
         ]
         for g, alpha in cases:
             matrix = build_hermitian(g, alpha)
-            spec, pairs = eigen_decomposition(matrix)
-            assert len(pairs) == g.n
-            assert [p.eigenvalue for p in pairs] == list(spec.values)
-            for pair in pairs:
-                assert verify_eigenpair(g, alpha, pair) <= 1e-8
-            basis = np.column_stack([p.vector for p in pairs])
-            gram = basis.conj().T @ basis
+            spec, basis = eigen_decomposition(matrix)
+            assert basis.vectors.shape == (g.n, g.n)
+            assert basis.values.tolist() == list(spec.values)
+            assert (verify_eigenpair(g, alpha, basis.values, basis.vectors) <= 1e-8).all()
+            gram = basis.vectors.conj().T @ basis.vectors
             assert np.allclose(gram, np.eye(g.n), atol=1e-8)
 
     def test_t2_known_eigenpair(self, t2):
         # (1, -i)/sqrt(2) belongs to eigenvalue 1
-        pair = EigenPair(1.0, np.array([1.0, -1.0j]) / math.sqrt(2.0))
-        assert verify_eigenpair(t2, ALPHA_I, pair) <= 1e-15
+        basis = EigenBasis([1.0], np.array([[1.0], [-1.0j]]) / math.sqrt(2.0))
+        assert verify_eigenpair(t2, ALPHA_I, basis.values, basis.vectors)[0] <= 1e-15
 
     def test_spectrum_sorted(self):
         rng = random.Random(43)
         g = random_mixed_graph(rng, 6)
-        spec, pairs = eigen_decomposition(build_hermitian(g, ALPHA_I))
+        spec, basis = eigen_decomposition(build_hermitian(g, ALPHA_I))
         assert list(spec.values) == sorted(spec.values, reverse=True)
-        assert [p.eigenvalue for p in pairs] == list(spec.values)
+        assert basis.values.tolist() == list(spec.values)
 
 
 class TestVerifyEigenpair:
     def test_fake_pair_residual(self, uc3):
-        pair = EigenPair(2.0, np.array([1.0, 0.0, 0.0], dtype=complex))
-        assert verify_eigenpair(uc3, ALPHA_ONE, pair) == pytest.approx(2.0)
+        basis = EigenBasis([2.0], np.array([[1.0], [0.0], [0.0]], dtype=complex))
+        assert verify_eigenpair(uc3, ALPHA_ONE, basis.values, basis.vectors)[0] == pytest.approx(2.0)
 
     def test_length_mismatch(self, uc3):
-        pair = EigenPair(1.0, np.array([1.0, 0.0], dtype=complex))
+        basis = EigenBasis([1.0], np.array([[1.0], [0.0]], dtype=complex))
         with pytest.raises(ValueError):
-            verify_eigenpair(uc3, ALPHA_ONE, pair)
+            verify_eigenpair(uc3, ALPHA_ONE, basis.values, basis.vectors)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            EigenPair(1.0, np.zeros(3, dtype=complex))
+            EigenBasis([1.0], np.zeros((3, 1), dtype=complex))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, math.nan)])
     def test_non_finite_entry_rejected_before_normalising(self, bad):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
-                EigenPair(1.0, [bad, 1, 1])
+                EigenBasis([1.0], [[bad], [1], [1]])
 
     def test_norm_overflow_scaled_before_normalising(self):
         # the sum of squares overflows although every entry is finite
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pair = EigenPair(2.0, [1e308] * 3)
-            tilted = EigenPair(2.0, [1e308, -1e308j, 1.7e308 + 1.7e308j])
-        assert np.allclose(pair.vector, 1 / math.sqrt(3))
-        assert math.isclose(np.linalg.norm(tilted.vector), 1.0)
+            basis = EigenBasis([2.0], [[1e308]] * 3)
+            tilted = EigenBasis([2.0], [[1e308], [-1e308j], [1.7e308 + 1.7e308j]])
+        assert np.allclose(basis.vectors[:, 0], 1 / math.sqrt(3))
+        assert math.isclose(np.linalg.norm(tilted.vectors[:, 0]), 1.0)
 
     def test_ordinary_vector_normalised_bit_for_bit(self):
         v = np.array([0.3 + 0.4j, -1.2, 2.5j, 1e-300])
-        assert EigenPair(1.0, v).vector.tobytes() == (v / np.linalg.norm(v)).tobytes()
+        got = EigenBasis([1.0], v[:, None]).vectors[:, 0]
+        assert got.tobytes() == (v / np.linalg.norm(v)).tobytes()
 
     def test_nan_is_not_a_zero_residual(self, uc3):
-        pair = EigenPair(math.nan, np.ones(3, dtype=complex))
-        assert math.isnan(verify_eigenpair(uc3, ALPHA_ONE, pair))
+        basis = EigenBasis([math.nan], np.ones((3, 1), dtype=complex))
+        assert math.isnan(verify_eigenpair(uc3, ALPHA_ONE, basis.values, basis.vectors)[0])
+
+
+class TestEigenBasis:
+    def test_error_names_its_column(self):
+        vectors = np.ones((3, 3), dtype=complex)
+        vectors[:, 1] = 0.0
+        with pytest.raises(ValueError, match=r"^basis entry 1: eigenvector must be nonzero$"):
+            EigenBasis([1.0, 2.0, 3.0], vectors)
+
+    @pytest.mark.parametrize(
+        "values, vectors",
+        [([1.0], np.ones(3)), ([1.0, 2.0], np.ones((3, 1))), ([[1.0]], np.ones((3, 1)))],
+        ids=["1-d vectors", "too few columns", "2-d values"],
+    )
+    def test_shape_mismatch_rejected(self, values, vectors):
+        with pytest.raises(ValueError, match="shapes"):
+            EigenBasis(values, vectors)
+
+    def test_read_only(self):
+        basis = EigenBasis([1.0, 2.0], np.eye(2))
+        for array in (basis.values, basis.vectors):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 def _residual_graphs() -> dict[str, MixedGraph]:
@@ -207,23 +228,16 @@ class TestPairResiduals:
     def test_matches_reference(self, name, spec):
         g, alpha = RESIDUAL_GRAPHS[name], make_alpha(spec)
         rng = np.random.default_rng(7)
-        _, pairs = eigen_decomposition(build_hermitian(g, alpha))
+        _, basis = eigen_decomposition(build_hermitian(g, alpha))
         # true eigenpairs (residuals near 0) and random ones (residuals of order 1)
-        values = np.array([p.eigenvalue for p in pairs] + list(rng.standard_normal(3)))
+        values = np.concatenate([basis.values, rng.standard_normal(3)])
         noise = [rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n) for _ in range(3)]
-        vectors = np.column_stack([p.vector for p in pairs] + noise)
-        got = _pair_residuals(g, alpha, values, vectors)
+        vectors = np.column_stack([basis.vectors, *noise])
+        got = verify_eigenpair(g, alpha, values, vectors)
         assert got.shape == values.shape
         for j, value in enumerate(values):
             want = reference_pair_residual(g, alpha, float(value), vectors[:, j])
             assert abs(got[j] - want) <= 1e-15 * max(1.0, want)
-
-    def test_single_pair_is_the_stack_of_one(self):
-        g, alpha = RESIDUAL_GRAPHS["mixed30"], make_alpha("root:3/7")
-        _, pairs = eigen_decomposition(build_hermitian(g, alpha))
-        values = np.array([p.eigenvalue for p in pairs])
-        batch = _pair_residuals(g, alpha, values, np.column_stack([p.vector for p in pairs]))
-        assert list(batch) == [verify_eigenpair(g, alpha, p) for p in pairs]
 
 
 class TestCharPoly:
