@@ -12,7 +12,10 @@ exit code 0.
 Floats are rounded to 12 significant digits and printed in Python's
 shortest round-trip form, the text ``json.dumps(float(f"{x:.12g}"))`` gives:
 ``3.0``, ``-0.0``, ``0.333333333333``, ``1e-05``, and ``1000000000000.0``
-up to 1e16.  Infinities and NaN print as ``Infinity`` and ``NaN``.
+up to 1e16.  Infinities and NaN print as ``Infinity`` and ``NaN``.  A
+transfer eigenbasis prints as its ``pairs`` list: one ``{"lambda", "vector"}``
+object per eigenpair, each vector entry a ``[re, im]`` pair, written by one
+``str.format`` call on a template per vector length.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 import os
 import sys
 from itertools import chain
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -40,11 +43,11 @@ from .monographs import (
     AttachDirection,
     Attachment,
     MonographKind,
+    _transfer,
     extend_monograph,
     is_monograph,
     monograph_partition,
     radius_equality_analysis,
-    transfer_eigenvectors,
 )
 from .phases import ALPHA_ONE, Phase, make_alpha
 from .spectra import (
@@ -58,42 +61,49 @@ from .spectra import (
 __all__ = ["main"]
 
 
-_FORMAT_12G = "{:.12g}".format
+# {:.12g} with ".0" kept on an integral value, and an exponent from 1e11
+_FORMAT_12 = "{:.12}".format
 _NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 _escape = json.encoder.encode_basestring_ascii
 
 
-def _notation(token: str) -> str:
-    """The JSON text of ``float(token)`` for a ``{:.12g}`` token that is not
-    already in it: one with an exponent, a bare integer, or inf/nan."""
-    if "e" in token:
-        # repr prints 1e12 <= |x| < 1e16 positionally and shortens subnormals
-        return repr(float(token))
-    if token in _NONFINITE:
-        return _NONFINITE[token]
-    return token + ".0"
+class _Text(str):
+    """Finished JSON text, which ``str.format`` writes as it is under any spec."""
+
+    def __format__(self, spec: str) -> str:
+        return self
 
 
-def _floats(xs: list[float]) -> list[str]:
-    """Each float's JSON text, formatted once.
+@functools.lru_cache(maxsize=16)  # a run sees few vector lengths
+def _pair_template(n: int) -> str:
+    """One eigenpair of n entries as a ``str.format`` template."""
+    entries = ", ".join(["[{:.12}, {:.12}]"] * n)
+    return '{{"lambda": {:.12}, "vector": [' + entries + "]}}"
 
-    A ``{:.12g}`` token with a decimal point and no exponent holds at most
-    12 significant digits, so it is already the shortest text that reads
-    back as the same float: exactly what ``repr`` would print.
-    """
-    return [
-        s if "." in s and "e" not in s else _notation(s)
-        for s in map(_FORMAT_12G, xs)
-    ]
+
+def _pair_texts(values: np.ndarray, vectors: np.ndarray) -> Iterator[str]:
+    """Each eigenpair's JSON text, by one ``str.format`` call that formats its
+    floats in C.  ``{:.12}`` prints a float's ``_json`` text except for
+    subnormals, floats from 1e10 (99999999999.95 rounds to 1e11) and
+    non-finite ones: a numpy mask flags those, and they go in as ``_Text``.
+    A generator, so its arrays are freed before the texts are joined."""
+    rows = np.empty((len(values), 1 + 2 * len(vectors)))
+    rows[:, 0], rows[:, 1::2], rows[:, 2::2] = values, vectors.real.T, vectors.imag.T
+    size = np.abs(rows)
+    flagged = ~((size >= 1e-300) & (size < 1e10)) & (rows != 0)
+    template = _pair_template(len(vectors))
+    for row, marks in zip(rows, flagged):
+        # a pair's floats are Python objects only while it is formatted
+        items = row.tolist()
+        for j in np.flatnonzero(marks).tolist():
+            items[j] = _Text(_json(items[j]))
+        yield template.format(*items)
 
 
 def _json(obj: Any) -> str:
-    """``json.dumps`` text with every float rounded to 12 significant digits.
-
-    A 1-d complex array prints as its list of ``[re, im]`` pairs.  The
-    ``isinstance`` checks serve int subclasses (bool is matched before
-    them) and numpy floats.
-    """
+    """``json.dumps`` text with every float rounded to 12 significant digits,
+    an ``EigenBasis`` as its ``pairs`` list.  The ``isinstance`` checks serve
+    int subclasses (bool is matched before them) and numpy floats."""
     kind = type(obj)
     if kind is str:
         return _escape(obj)
@@ -106,17 +116,15 @@ def _json(obj: Any) -> str:
         return "true" if obj else "false"
     if obj is None:
         return "null"
+    if kind is EigenBasis:
+        return "[" + ", ".join(_pair_texts(obj.values, obj.vectors)) + "]"
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
-        # the rule of _floats, spelled out to spare a list per scalar
-        s = _FORMAT_12G(obj)
-        return s if "." in s and "e" not in s else _notation(s)
-    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "c":
-        # the float view of a complex128 array interleaves re and im
-        flat = np.ascontiguousarray(obj, dtype=np.complex128).view(np.float64)
-        template = "[" + ", ".join(["[{}, {}]"] * obj.size) + "]"
-        return template.format(*_floats(flat.tolist()))
+        # a token with no exponent, inf or nan is repr's text of its value; repr
+        # prints 1e11 <= |x| < 1e16 positionally and shortens subnormals
+        s = _FORMAT_12(obj)
+        return s if "e" not in s and "n" not in s else _NONFINITE.get(s) or repr(float(s))
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
@@ -256,14 +264,12 @@ def _cmd_transfer(args: argparse.Namespace) -> None:
         if args.basis == "-" and args.graph == "-":
             raise ValueError("graph and basis cannot both come from stdin")
         basis = _parse_basis(_read_text(args.basis), graph.n)
-    moved, residual = transfer_eigenvectors(graph, alpha, basis)
+    # eigen_decomposition checked a computed basis within the same budget
+    moved, residual = _transfer(graph, alpha, basis, verify_input=args.basis is not None)
     _emit(
         {
             "alpha": str(alpha),
-            "pairs": [
-                {"lambda": lam, "vector": moved.vectors[:, j]}
-                for j, lam in enumerate(moved.values.tolist())
-            ],
+            "pairs": moved,
             "max_residual": residual,
         }
     )

@@ -44,7 +44,7 @@ index.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -105,7 +105,8 @@ class StructuralFlags:
     monograph_both: bool
 
     def as_dict(self) -> dict[str, bool]:
-        return asdict(self)
+        # asdict would deep-copy each of the four bools
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

@@ -296,6 +296,13 @@ def transfer_eigenvectors(
     transferred basis and the largest of its residuals (0.0 for an empty
     basis).
     """
+    return _transfer(graph, alpha, basis, verify_input=True)
+
+
+def _transfer(
+    graph: MixedGraph, alpha: Phase, basis: EigenBasis, verify_input: bool
+) -> tuple[EigenBasis, float]:
+    """:func:`transfer_eigenvectors`, with its check of the input basis optional."""
     cert, keys = _certify(graph, alpha, MonographKind.FIRST)
     if not cert.verdict:
         assert cert.violation is not None
@@ -304,13 +311,14 @@ def transfer_eigenvectors(
             f"{list(cert.violation.vertices)} has nontrivial value"
         )
     assert cert.potential is not None
-    resid = verify_eigenpair(graph, ALPHA_ONE, basis.values, basis.vectors)
-    bad = _first_above(resid, EIGEN_RESIDUAL_TOL * max(graph.n, 1))
-    if bad is not None:
-        raise ValueError(
-            f"basis pair with eigenvalue {basis.values[bad]:.6g} fails verification "
-            f"against the underlying graph (residual {resid[bad]:.3e})"
-        )
+    if verify_input:
+        resid = verify_eigenpair(graph, ALPHA_ONE, basis.values, basis.vectors)
+        bad = _first_above(resid, EIGEN_RESIDUAL_TOL * max(graph.n, 1))
+        if bad is not None:
+            raise ValueError(
+                f"basis pair with eigenvalue {basis.values[bad]:.6g} fails verification "
+                f"against the underlying graph (residual {resid[bad]:.3e})"
+            )
     # one conjugate per distinct potential, looked up per vertex by its key
     conj = {k: p.value.conjugate() for k, p in dict(zip(keys, cert.potential)).items()}
     gauge = np.array([conj[k] for k in keys], dtype=np.complex128)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from hermix import (
     ALPHA_GAMMA,
     ALPHA_ONE,
+    EigenBasis,
     MixedGraph,
     build_hermitian,
     eigen_decomposition,
@@ -28,7 +29,7 @@ from hermix import (
     transfer_eigenvectors,
     verify_eigenpair,
 )
-from hermix.cli import _json, _parse_basis, main
+from hermix.cli import _json, _pair_texts, _parse_basis, main
 
 from conftest import complete_mixed, level_monograph, reference_json
 
@@ -141,6 +142,28 @@ class TestTransfer:
         for p in data["pairs"]:
             assert len(p["vector"]) == 3
             assert all(len(entry) == 2 for entry in p["vector"])
+
+    def test_computed_basis_verified_once(self, capsys, monkeypatch, tmp_path, dc3_file, dc3):
+        # the eigensolve checks the basis it computes, so the CLI checks only
+        # the moved basis; a basis file and the library call check both
+        alphas = []
+
+        def counted(graph, alpha, values, vectors):
+            alphas.append(str(alpha))
+            return verify_eigenpair(graph, alpha, values, vectors)
+
+        monkeypatch.setattr("hermix.monographs.verify_eigenpair", counted)
+        run_json(capsys, ["transfer", "--alpha", "gamma", dc3_file])
+        assert alphas == ["root:1/3"]
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text(json.dumps([{"lambda": 2.0, "vector": [1.0, 1.0, 1.0]}]))
+        alphas.clear()
+        run_json(capsys, ["transfer", "--alpha", "gamma", "--basis", str(basis_path), dc3_file])
+        assert alphas == ["root:0/1", "root:1/3"]
+        alphas.clear()
+        _, basis = eigen_decomposition(build_hermitian(dc3, ALPHA_ONE))
+        transfer_eigenvectors(dc3, ALPHA_GAMMA, basis)
+        assert alphas == ["root:0/1", "root:1/3"]
 
     def test_explicit_basis_file(self, capsys, tmp_path, dc3_file):
         basis = [
@@ -314,6 +337,33 @@ def gamma_monograph(seed: int, n: int) -> MixedGraph:
     return MixedGraph.from_edges(n, digons, arcs)
 
 
+# the floats at which {:.12} text and _json text part ways, or nearly:
+# signed zeros, subnormals, near-integers, 12-digit ties on both sides of
+# 1e-4, 1e10, 1e11, 1e12 and 1e16, and non-finite values
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -3e-320, 1.23456789012345e-315,
+    -2.2250738585072014e-308, 2.225073858507201e-308,
+    1e-4, -1e-4, 9.99999999999995e-05, 9.999999999999949e-05, 1.00000000000005e-4,
+    0.9999999999995, 0.99999999999949, 1.0000000000005, 1.9999999999999,
+    2.0000000000001, -2.0000000000001, 123456.0000004,
+    9999999999.95, 9999999999.949, 10000000000.0,
+    99999999999.95, 99999999999.96, -99999999999.99, 1e11, -1e11, 100000000000.5,
+    999999999999.4, 999999999999.5, 1e12, -1e12, 1000000000000.5,
+    9999999999999998.0, 1e16, 1.7976931348623157e308,
+    math.inf, -math.inf, math.nan,
+]
+
+
+@st.composite
+def raw_bases(draw):
+    """m eigenvalues and the re, im of an n x m basis, row by row, as floats
+    no ``EigenBasis`` would normalise: any float, or one of ``EDGE_FLOATS``."""
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    number = st.floats() | st.sampled_from(EDGE_FLOATS)
+    values = draw(st.lists(number, min_size=m, max_size=m))
+    return values, draw(st.lists(number, min_size=2 * n * m, max_size=2 * n * m)), n
+
+
 class TestEmitter:
     """Floats print as ``float(f"{x:.12g}")`` would under ``json.dumps``, and
     transfer output is pinned byte for byte.  The pins come from numpy's
@@ -364,19 +414,56 @@ class TestEmitter:
 
             __str__ = __repr__
 
-        vector = np.array([0.5 + 0.25j, -0.0 - 1e-7j, 3.0, 1 / 3 - 1e13j, 1.5e13 + 5e-324j])
         payload = {
             "naïve \"key\"\n": [1 / 3, (2.0, -0.0), {"empty": [], "none": None}],
             "flags": {"yes": True, "no": False},
             "ints": [0, -7, 2**70, Kind.SECOND, Count(3)],
             "text": "γ → ω",
-            "vector": vector,
-            "pairs": [{"lambda": 1e-5, "vector": vector[::-2]}],
         }
         assert _json(payload) == reference_json(payload)
         assert _json(Kind.SECOND) == "2"
         with pytest.raises(TypeError):
             _json({"set": {1}})
+        # a complex vector is no JSON value of its own: a basis prints whole
+        with pytest.raises(TypeError):
+            _json(np.array([0.5 + 0.25j]))
+
+    @staticmethod
+    def pairs_json(values, vectors):
+        return "[" + ", ".join(_pair_texts(values, vectors)) + "]"
+
+    @staticmethod
+    def reference_pairs(values, vectors):
+        pairs = [{"lambda": float(lam), "vector": vectors[:, j]} for j, lam in enumerate(values)]
+        return reference_json(pairs)
+
+    def test_basis_pairs_match_reference(self):
+        vector = np.array([0.5 + 0.25j, -0.0 - 1e-7j, 3.0, 1 / 3 - 1e13j, 1.5e13 + 5e-324j])
+        vectors = np.column_stack([vector, vector[::-1], -vector])
+        values = np.array([1e-5, -2.0, 99999999999.95])
+        text = self.pairs_json(values, vectors)
+        assert text == self.reference_pairs(values, vectors)
+        # a payload prints an EigenBasis as its pairs list
+        basis = EigenBasis(values, vectors)
+        assert _json({"pairs": basis}) == '{"pairs": ' + self.reference_pairs(
+            basis.values, basis.vectors
+        ) + "}"
+        # a strided view prints as its values do
+        assert self.pairs_json(values[::-2], vectors[::-1, ::-2]) == self.reference_pairs(
+            values[::-2], vectors[::-1, ::-2]
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_bases())
+    @example(([], [], 0))
+    @example(([], [], 3))
+    @example(([1.0], [0.5, -0.5], 1))
+    @example((EDGE_FLOATS, [x for x in EDGE_FLOATS for _ in range(2)], 1))
+    @example((EDGE_FLOATS[:2], EDGE_FLOATS * 4, len(EDGE_FLOATS)))
+    def test_basis_pairs_float_text(self, basis):
+        values, flat, n = basis
+        vectors = np.array(flat, dtype=np.float64).view(np.complex128).reshape(n, len(values))
+        assert self.pairs_json(np.array(values), vectors) == self.reference_pairs(values, vectors)
 
     def test_transfer_dc3_gamma_pinned(self, capsys, dc3_file):
         assert main(["transfer", "--alpha", "gamma", dc3_file]) == 0
@@ -412,6 +499,17 @@ class TestEmitter:
         assert len(out) == 55016
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "896d33951aa5df03270085769955d79a3001e9040c0ea7c92c35d76adaca70e7"
+        )
+
+    def test_transfer_monograph_n134_pinned(self, capsys, tmp_path):
+        path = tmp_path / "m134.mg"
+        path.write_text(serialize_graph(gamma_monograph(134, 134)))
+        assert main(["transfer", "--alpha", "gamma", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith('0.00932304023952]]}], "max_residual": 1.82492909673e-15}\n')
+        assert len(out) == 609433
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f5e98cac0127bac89dca8a0cfa291405084edc06282d3b39e6ce1b636f42feca"
         )
 
 
@@ -681,19 +779,19 @@ class TestErrorPaths:
 
 
 def test_closed_stdout_ends_quietly():
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "hermix", "search-cospectral", "--n", "4",
          "--alpha", "gamma", "--alpha", "omega"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-    )
-    assert proc.stdout is not None and proc.stderr is not None
-    # about 480 kB follow this line, far more than a pipe buffers
-    assert json.loads(proc.stdout.readline())["n"] == 4
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait() == 0
-    assert err == b""
+    ) as proc:
+        assert proc.stdout is not None and proc.stderr is not None
+        # about 480 kB follow this line, far more than a pipe buffers
+        assert json.loads(proc.stdout.readline())["n"] == 4
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
 
 
 def test_module_entry_point(tmp_path, k4x):
