@@ -13,9 +13,8 @@ Floats are rounded to 12 significant digits and printed in Python's
 shortest round-trip form, the text ``json.dumps(float(f"{x:.12g}"))`` gives:
 ``3.0``, ``-0.0``, ``0.333333333333``, ``1e-05``, and ``1000000000000.0``
 up to 1e16.  Infinities and NaN print as ``Infinity`` and ``NaN``.  A
-transfer eigenbasis prints as its ``pairs`` list: one ``{"lambda", "vector"}``
-object per eigenpair, each vector entry a ``[re, im]`` pair, written by one
-``str.format`` call on a template per vector length.
+transfer eigenbasis prints as its ``pairs`` list, one ``{"lambda", "vector"}``
+object of ``[re, im]`` entries per eigenpair, written pair by pair.
 """
 
 from __future__ import annotations
@@ -82,42 +81,39 @@ def _pair_template(n: int) -> str:
 
 
 def _pair_texts(values: np.ndarray, vectors: np.ndarray) -> Iterator[str]:
-    """Each eigenpair's JSON text, by one ``str.format`` call that formats its
-    floats in C.  ``{:.12}`` prints a float's ``_json`` text except for
-    subnormals, floats from 1e10 (99999999999.95 rounds to 1e11) and
-    non-finite ones: a numpy mask flags those, and they go in as ``_Text``.
-    A generator, so its arrays are freed before the texts are joined."""
+    """The eigenpairs' JSON list in pieces, a pair by one ``str.format`` call.
+    ``{:.12}`` prints a float's ``_json`` text but for subnormals, floats from
+    1e10 (99999999999.95 rounds to 1e11) and non-finite ones: they go in as ``_Text``."""
     rows = np.empty((len(values), 1 + 2 * len(vectors)))
     rows[:, 0], rows[:, 1::2], rows[:, 2::2] = values, vectors.real.T, vectors.imag.T
     size = np.abs(rows)
     flagged = ~((size >= 1e-300) & (size < 1e10)) & (rows != 0)
     template = _pair_template(len(vectors))
-    for row, marks in zip(rows, flagged):
+    yield "["
+    for i, (row, marks) in enumerate(zip(rows, flagged)):
         # a pair's floats are Python objects only while it is formatted
         items = row.tolist()
         for j in np.flatnonzero(marks).tolist():
             items[j] = _Text(_json(items[j]))
-        yield template.format(*items)
+        yield (", " if i else "") + template.format(*items)
+    yield "]"
 
 
 def _json(obj: Any) -> str:
     """``json.dumps`` text with every float rounded to 12 significant digits,
-    an ``EigenBasis`` as its ``pairs`` list.  The ``isinstance`` checks serve
-    int subclasses (bool is matched before them) and numpy floats."""
+    an ``EigenBasis`` dict value as its ``pairs`` list.  The ``isinstance``
+    checks serve int subclasses (bool is matched before them) and numpy floats."""
     kind = type(obj)
     if kind is str:
         return _escape(obj)
     if kind is dict:
-        items = [_escape(k) + ": " + _json(v) for k, v in obj.items()]
-        return "{" + ", ".join(items) + "}"
+        return "".join(_dict_pieces(obj))
     if kind is list or kind is tuple:
         return "[" + ", ".join(map(_json, obj)) + "]"
     if kind is bool:
         return "true" if obj else "false"
     if obj is None:
         return "null"
-    if kind is EigenBasis:
-        return "[" + ", ".join(_pair_texts(obj.values, obj.vectors)) + "]"
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
@@ -128,8 +124,22 @@ def _json(obj: Any) -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _emit(obj: Any) -> None:
-    print(_json(obj))
+def _dict_pieces(obj: dict[str, Any]) -> Iterator[str]:
+    """``_json`` text of a dict in pieces, an ``EigenBasis`` value pair by pair."""
+    sep = "{"
+    for key, value in obj.items():
+        if type(value) is EigenBasis:
+            yield sep + _escape(key) + ": "
+            yield from _pair_texts(value.values, value.vectors)
+        else:
+            yield sep + _escape(key) + ": " + _json(value)
+        sep = ", "
+    yield "}" if obj else "{}"
+
+
+def _emit(payload: dict[str, Any]) -> None:
+    """Print ``_json(payload)`` piece by piece: no text is held whole."""
+    sys.stdout.writelines(chain(_dict_pieces(payload), "\n"))
 
 
 def _read_text(path: str) -> str:

@@ -20,15 +20,12 @@ The search helpers enumerate mixed graphs by a base-4 code over the vertex
 pairs in lexicographic order: 0 no edge, 1 digon, 2 arc low to high, 3 arc
 high to low.
 
-One verdict serves :func:`numeric_cospectral` and the search alike: it
-takes a stack of matrices per phase and the structural flags of each graph,
-and runs its checks (whose kernels live in ``spectra``) stage by stage: the
-eigen residual under the first phase, then the second, the characteristic
-polynomial under the first phase (imaginary residue, then the cross-check
-against the eigenvalues), then the second, and last the structural guard.
-The first stage that fails raises NumericalError for its lowest failing
-graph, before any later stage runs.  ``numeric_cospectral`` hands it a stack
-of one, its flags from :func:`is_monograph` under the six rules they read.
+One verdict, :func:`_checked_gaps`, serves :func:`numeric_cospectral` and
+the search alike: it takes a stack of matrices per phase and the structural
+flags of each graph, runs its checks (whose kernels live in ``spectra``)
+stage by stage, and raises NumericalError for the lowest failing graph of
+the first failing stage.  ``numeric_cospectral`` hands it a stack of one,
+its flags from :func:`is_monograph` under the six rules they read.
 
 The search never builds a graph per code.  It scans codes in fixed chunks of
 ``SEARCH_CHUNK``: digits are decoded into stacks of Hermitian matrices, one
@@ -52,7 +49,7 @@ import numpy as np
 
 from .errors import NumericalError, ScaleLimitError
 from .graphs import _DIGIT_STEP, MixedGraph
-from .monographs import MonographKind, _keys, _rule, is_monograph
+from .monographs import MonographKind, _keys, _rule, _verdict, is_monograph
 from .phases import ALPHA_ONE, Phase
 from .spectra import (
     DEFAULT_TOL,
@@ -121,13 +118,13 @@ class CospectralReport:
 def even_arc_condition(graph: MixedGraph) -> bool:
     """Every cycle crosses an even number of arcs: a first-kind monograph at
     alpha = -1, where a digon step has value 1 and an arc step -1."""
-    return is_monograph(graph, _MINUS_ONE, MonographKind.FIRST).verdict
+    return _verdict(graph, _MINUS_ONE, MonographKind.FIRST)
 
 
 def oriented_bipartite(graph: MixedGraph) -> bool:
     """No digons and the underlying graph is bipartite: a digon-free
     second-kind monograph at alpha = 1, where every step has value -1."""
-    return not _has_digon(graph) and is_monograph(graph, ALPHA_ONE, MonographKind.SECOND).verdict
+    return not _has_digon(graph) and _verdict(graph, ALPHA_ONE, MonographKind.SECOND)
 
 
 def _has_digon(graph: MixedGraph) -> bool:

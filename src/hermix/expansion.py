@@ -10,17 +10,11 @@ minus #components contributes ``(-1)**r * prod over cycles of
 contributions.
 
 A packing is a packing of disjoint cycles completed by a matching of the
-vertices the cycles leave uncovered, and only the cycles carry a phase.  So
-the cycles are enumerated and the matchings are counted.  The simple-cycle
-search records each cycle's vertex mask and arc balance as it builds the
-walk.  Every cycle is filed under its lowest vertex, and a recursion lists
-each cycle packing exactly once, adding its cycles in increasing order of
-their lowest vertex.  The matchings of a vertex set are counted by size in
-a table memoised on the set's mask.  A cycle packing covering s vertices
-with c cycles, completed by j edges, covers k = s + 2j vertices with
-r = s - c + j.  So the packings are counted by k, r and sorted cycle
-balances without building one, and every alpha is evaluated from those
-counts.
+vertices they leave.  A cycle's phase depends on its arc balance alone, so
+no cycle or packing is built: cycles are counted by vertex set and balance,
+cycle packings by covered mask and balances, and matchings by size.  A
+cycle packing of s vertices and c cycles with j edges covers k = s + 2j
+vertices with r = s - c + j, and every alpha is evaluated from the counts.
 
 This is deliberately exponential.  It exists as an independent cross-check
 of the numeric path on desk-sized graphs, so it is guarded at 12 vertices.
@@ -36,7 +30,7 @@ from collections import defaultdict
 from typing import Callable
 
 from .errors import ScaleLimitError
-from .graphs import MixedGraph, SimpleCycle, enumerate_simple_cycles
+from .graphs import MixedGraph
 from .phases import Phase, rotation_cos
 from .spectra import CharPoly
 
@@ -52,37 +46,35 @@ def _guard(graph: MixedGraph) -> None:
         )
 
 
-def _cycle_packings(graph: MixedGraph) -> list[tuple[int, tuple[SimpleCycle, ...]]]:
-    """Every packing of pairwise disjoint simple cycles, the empty one first.
-
-    Each packing comes as its covered-vertex mask and its cycles in order of
-    their lowest vertex.  Every cycle is filed under its lowest vertex, with
-    the cycles on one vertex set kept together.  A packing is listed, then
-    extended by each cycle that misses every covered vertex and whose lowest
-    vertex is free and above the lowest vertex of the packing's last cycle.
-    The cycles of a packing have distinct lowest vertices, so each packing
-    is reached along exactly one path, and each vertex set is tested once
-    per packing that could take it.
-    """
-    n = graph.n
-    by_set: list[dict[int, list[SimpleCycle]]] = [{} for _ in range(n)]
-    if n >= 3:
-        for c in enumerate_simple_cycles(graph, n):
-            by_set[c.vertices[0]].setdefault(c.mask, []).append(c)
-    buckets = [list(d.items()) for d in by_set]
-    found: list[tuple[int, tuple[SimpleCycle, ...]]] = []
-
-    def extend(first: int, covered: int, cycles: tuple[SimpleCycle, ...]) -> None:
-        found.append((covered, cycles))
-        for v in range(first, n):
-            if covered >> v & 1:
+def _cycle_counts(graph: MixedGraph) -> list[dict[int, dict[int, int]]]:
+    """Per lowest vertex s, each vertex mask of a simple cycle mapped to how
+    many simple cycles on it have each arc balance, counted in the direction
+    of :func:`enumerate_simple_cycles` (second vertex below second-to-last).
+    A path is carried as its last vertex, mask (set from 0 to s at the start)
+    and balance, and grows only while a vertex it may close from is off it."""
+    steps = graph._steps
+    nbrs = [tuple((w, 1 << w, code) for w, code in vs) for vs in steps]
+    found: list[dict[int, dict[int, int]]] = [{} for _ in steps]
+    for s in range(graph.n - 2):
+        below = (1 << s) - 1
+        # the pair code of the step from a neighbour back to s
+        closing = {w: -code for w, code in steps[s]}
+        adjacent = sum(1 << w for w in closing)
+        for v1, code in steps[s]:
+            ends = adjacent >> (v1 + 1) << (v1 + 1)
+            if v1 < s or not ends:
                 continue
-            for mask, same_set in buckets[v]:
-                if not covered & mask:
-                    for c in same_set:
-                        extend(v + 1, covered | mask, cycles + (c,))
-
-    extend(0, 0, ())
+            stack = [(v1, below | 1 << s | 1 << v1, code)]
+            while stack:
+                last, mask, balance = stack.pop()
+                if ends >> last & 1:
+                    counts = found[s].setdefault(mask ^ below, {})
+                    b = balance + closing[last]
+                    counts[b] = counts.get(b, 0) + 1
+                if ends & ~mask:
+                    for w, bit, step in nbrs[last]:
+                        if not mask & bit:
+                            stack.append((w, mask | bit, balance + step))
     return found
 
 
@@ -120,33 +112,35 @@ def _matching_counts(graph: MixedGraph) -> Callable[[int], list[int]]:
     return m
 
 
-def _term_profile(
-    graph: MixedGraph,
-) -> tuple[dict[tuple[int, tuple[int, ...]], int], ...]:
+def _term_profile(graph: MixedGraph) -> tuple[dict[tuple[int, tuple[int, ...]], int], ...]:
     """Per cover size k, the multiset of (r, sorted cycle balances) pairs.
-
-    Every cycle value is alpha to the cycle's balance and enters through its
-    real part, so the sorted balance tuple is all an alpha needs to evaluate
-    a packing's term.  A packing is a packing of cycles completed by a
-    matching of the vertices it leaves uncovered.  The cycle packings are
-    grouped by covered-vertex mask and sorted balances, and the matchings
-    are only counted: a cycle packing covering s vertices with c cycles,
-    completed by j edges, covers k = s + 2j vertices in c + j components,
-    so it adds to ``prof[s + 2j][(s - c + j, balances)]``.
-    """
-    groups: defaultdict[tuple[int, tuple[int, ...]], int] = defaultdict(int)
-    for covered, cycles in _cycle_packings(graph):
-        groups[covered, tuple(sorted(c.balance for c in cycles))] += 1
+    A recursion adds the vertex sets of :func:`_cycle_counts` in increasing
+    order of their lowest vertex, each disjoint from the covered mask and
+    each balance with its multiplicity, so every cycle packing is counted
+    once, and completes each by every matching of the vertices it leaves."""
+    n = graph.n
+    sets = _cycle_counts(graph)
     matchings = _matching_counts(graph)
-    full = (1 << graph.n) - 1
+    full = (1 << n) - 1
     prof: list[defaultdict[tuple[int, tuple[int, ...]], int]] = [
-        defaultdict(int) for _ in range(graph.n + 1)
+        defaultdict(int) for _ in range(n + 1)
     ]
-    for (covered, balances), count in groups.items():
+
+    def extend(first: int, covered: int, balances: tuple[int, ...], count: int) -> None:
         s = covered.bit_count()
-        r = s - len(balances)
         for j, m in enumerate(matchings(full ^ covered)):
-            prof[s + 2 * j][r + j, balances] += count * m
+            prof[s + 2 * j][s - len(balances) + j, balances] += count * m
+        free = (full ^ covered) >> first << first
+        # a set's lowest vertex has two free vertices above it
+        while free.bit_count() >= 3:
+            v = (free & -free).bit_length() - 1
+            free ^= 1 << v
+            for mask, counts in sets[v].items():
+                if not covered & mask:
+                    for b, times in counts.items():
+                        extend(v + 1, covered | mask, tuple(sorted((*balances, b))), count * times)
+
+    extend(0, 0, (), 1)
     return tuple(dict(d) for d in prof)
 
 

@@ -461,14 +461,11 @@ def enumerate_simple_cycles(graph: MixedGraph, max_len: int) -> tuple[SimpleCycl
 
     A cycle is reported as a closed walk rooted at its smallest vertex with
     the second vertex smaller than the second-to-last, which fixes rotation
-    and reflection.  Plain exhaustive backtracking, intended for the small
-    graphs the oracles run on; once the second vertex is fixed, the walk can
-    only close from a neighbour of the start above it, so a path stops
-    growing when all of those are on it, and each cycle is reached in one
-    direction only.  The search carries the path's vertex mask
-    and arc balance as it extends the path, reading each step's pair code
-    from the graph's neighbour lists, so every cycle comes with both and no
-    walk is looked up again.
+    and reflection.  Plain exhaustive backtracking over whole paths, the
+    brute-force reference for small graphs: once the second vertex is fixed,
+    the walk can only close from a neighbour of the start above it, so a
+    path stops growing when all of those are on it.  Each cycle's vertex mask
+    and arc balance are summed along its path.
     """
     if max_len < 3:
         raise ValueError("max_len must be at least 3")

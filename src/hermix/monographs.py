@@ -17,12 +17,9 @@ records the arc balance and length of every tree path and the balance and
 length parity of every fundamental cycle, and detection reads them all off
 the forest.
 
-Detection is a congruence on those recorded integers.  For alpha at p/q
-turns, a walk of arc balance b and length l is trivial exactly when
-q | p*b (first kind) or 2q | 2p*b + q*l (second kind); the residue, over q
-or 2q, is the walk's value in turns.  So a verdict does no phase arithmetic
-per cycle or per edge, builds the closed walk of a violating cycle only, and
-one phase per distinct potential.
+Detection is a congruence on those recorded integers (see ``_rule``).  A
+verdict alone does no phase arithmetic and builds no walk; a certificate
+builds the walk of a violating cycle only, and one phase per distinct potential.
 
 The potential of a first-kind monograph is also the gauge that carries an
 eigenbasis of the underlying graph onto the phase matrix: the transfer
@@ -197,12 +194,17 @@ def is_monograph(graph: MixedGraph, alpha: Phase, kind: MonographKind) -> Monogr
     return _certify(graph, alpha, kind)[0]
 
 
+def _verdict(graph: MixedGraph, alpha: Phase, kind: MonographKind) -> bool:
+    """:func:`is_monograph`'s verdict alone: every fundamental-cycle key is 0."""
+    basis = graph.cycle_basis
+    return not any(_keys(_rule(alpha, kind), basis.cycle_balances, basis.cycle_parities))
+
+
 def _certify(
     graph: MixedGraph, alpha: Phase, kind: MonographKind
 ) -> tuple[MonographCertificate, list[int]]:
     """:func:`is_monograph` plus the value key of each vertex's potential
-    (empty on failure).  Only a violation's own walk is built, and one
-    phase per distinct potential."""
+    (empty on failure)."""
     basis = graph.cycle_basis
     rule = _rule(alpha, kind)
     for i, key in enumerate(_keys(rule, basis.cycle_balances, basis.cycle_parities)):
@@ -393,8 +395,7 @@ def extend_monograph(
     for v in base:
         if not 0 <= v < graph.n:
             raise ValueError(f"base vertex {v} out of range")
-    cert = is_monograph(graph, alpha, MonographKind.FIRST)
-    if not cert.verdict:
+    if not _verdict(graph, alpha, MonographKind.FIRST):
         raise NotMonographError("extension requires a first-kind monograph")
     base_set = set(base)
     inside = tuple(row for row in graph._table if row[0] in base_set and row[1] in base_set)
@@ -419,7 +420,7 @@ def extend_monograph(
         table += [(t, next_id, digit) for t in att.targets]
         next_id += 1
     grown = MixedGraph._from_table(next_id, tuple(sorted(table)))
-    assert is_monograph(grown, alpha, MonographKind.FIRST).verdict
+    assert _verdict(grown, alpha, MonographKind.FIRST)
     return grown
 
 
@@ -454,8 +455,8 @@ def radius_equality_analysis(
     profile = degree_profile(graph)
     delta = profile.max_degree
     equal = abs(rho - delta) <= tol
-    mono1 = is_monograph(graph, alpha, MonographKind.FIRST).verdict
-    mono2 = is_monograph(graph, alpha, MonographKind.SECOND).verdict
+    mono1 = _verdict(graph, alpha, MonographKind.FIRST)
+    mono2 = _verdict(graph, alpha, MonographKind.SECOND)
     consistent = equal == (profile.is_regular and (mono1 or mono2))
     if _no_power_is_minus_power(alpha) and equal and not mono1:
         consistent = False

@@ -29,7 +29,7 @@ from hermix import (
     transfer_eigenvectors,
     verify_eigenpair,
 )
-from hermix.cli import _json, _pair_texts, _parse_basis, main
+from hermix.cli import _emit, _json, _pair_texts, _parse_basis, main
 
 from conftest import complete_mixed, level_monograph, reference_json
 
@@ -81,6 +81,32 @@ class TestCharpoly:
         assert oracle["method"] == "expansion"
         assert plain["char_poly"] == pytest.approx(oracle["char_poly"], abs=1e-8)
         assert set(plain) == set(oracle)
+
+    def test_oracle_n10_pinned(self, capsys, tmp_path):
+        # twelve independent cycles, as dense as the benchmark's n = 10 oracle
+        # inputs.  The oracle's own text is pinned byte for byte; the
+        # eigenvalues come from LAPACK, so their last digits may differ on
+        # another build.
+        path = tmp_path / "g10.mg"
+        path.write_text(
+            "10\n0 -> 1\n0 -> 8\n1 -> 2\n1 -- 3\n1 -- 7\n9 -> 1\n2 -- 9\n3 -> 4\n"
+            "6 -> 3\n3 -> 9\n4 -- 5\n6 -> 4\n7 -> 4\n4 -- 9\n5 -- 6\n9 -> 5\n6 -> 7\n"
+            "6 -> 8\n6 -- 9\n7 -> 8\n7 -- 9\n"
+        )
+        assert main(["charpoly", "--oracle", "--alpha", "root:2/5", str(path)]) == 0
+        out = capsys.readouterr().out
+        data = json.loads(out)
+        assert list(data) == ["alpha", "eigenvalues", "char_poly", "spectral_radius", "method"]
+        assert (data["alpha"], data["method"]) == ("root:2/5", "expansion")
+        assert out[out.index('"char_poly"') : out.index(', "spectral_radius"')] == (
+            '"char_poly": [-0.0, -21.0, 12.3262379212, 111.381966011, -79.1033255612, '
+            "-193.291796068, 134.519733426, 104.763932023, -61.88854382, -9.472135955]"
+        )
+        assert data["eigenvalues"] == pytest.approx([
+            3.10421805102, 2.22923337677, 1.42951043372, 0.958237774678, 0.785912952859,
+            -0.130042051138, -0.877166776113, -1.31476314608, -2.05044432586, -4.13469628985,
+        ], abs=1e-9)
+        assert data["spectral_radius"] == pytest.approx(4.13469628985, abs=1e-9)
 
     def test_oracle_beyond_its_guard_is_input_error(self, capsys, tmp_path):
         # dense enough that the trace recursion fails its residue check on it;
@@ -415,7 +441,7 @@ class TestEmitter:
             __str__ = __repr__
 
         payload = {
-            "naïve \"key\"\n": [1 / 3, (2.0, -0.0), {"empty": [], "none": None}],
+            "naïve \"key\"\n": [1 / 3, (2.0, -0.0), {"empty": [], "none": None}, {}],
             "flags": {"yes": True, "no": False},
             "ints": [0, -7, 2**70, Kind.SECOND, Count(3)],
             "text": "γ → ω",
@@ -430,14 +456,14 @@ class TestEmitter:
 
     @staticmethod
     def pairs_json(values, vectors):
-        return "[" + ", ".join(_pair_texts(values, vectors)) + "]"
+        return "".join(_pair_texts(values, vectors))
 
     @staticmethod
     def reference_pairs(values, vectors):
         pairs = [{"lambda": float(lam), "vector": vectors[:, j]} for j, lam in enumerate(values)]
         return reference_json(pairs)
 
-    def test_basis_pairs_match_reference(self):
+    def test_basis_pairs_match_reference(self, capsys):
         vector = np.array([0.5 + 0.25j, -0.0 - 1e-7j, 3.0, 1 / 3 - 1e13j, 1.5e13 + 5e-324j])
         vectors = np.column_stack([vector, vector[::-1], -vector])
         values = np.array([1e-5, -2.0, 99999999999.95])
@@ -445,9 +471,10 @@ class TestEmitter:
         assert text == self.reference_pairs(values, vectors)
         # a payload prints an EigenBasis as its pairs list
         basis = EigenBasis(values, vectors)
-        assert _json({"pairs": basis}) == '{"pairs": ' + self.reference_pairs(
+        _emit({"pairs": basis, "empty": EigenBasis(values[:0], vectors[:, :0])})
+        assert capsys.readouterr().out == '{"pairs": ' + self.reference_pairs(
             basis.values, basis.vectors
-        ) + "}"
+        ) + ', "empty": []}\n'
         # a strided view prints as its values do
         assert self.pairs_json(values[::-2], vectors[::-1, ::-2]) == self.reference_pairs(
             values[::-2], vectors[::-1, ::-2]

@@ -30,11 +30,12 @@ from hermix import (
     mixed_graph_from_code,
     rotation_cos,
 )
-from hermix.expansion import _term_profile
+from hermix.expansion import _cycle_counts, _term_profile
 
 from conftest import (
     complete_mixed,
     numeric_char_poly,
+    random_connected_mixed_graph,
     random_mixed_graph,
     random_mixed_tree,
     reference_term_profile,
@@ -175,6 +176,61 @@ def _connected_with_cycles(rng: random.Random, n: int, cycles: int) -> MixedGrap
     for u, v in rng.sample(free, cycles):
         extra.append(rng.choice([Edge.digon(u, v), Edge.arc(u, v), Edge.arc(v, u)]))
     return MixedGraph(n, tree.edges | frozenset(extra))
+
+
+def _cycle_tallies(g: MixedGraph) -> Counter:
+    """The simple cycles of ``enumerate_simple_cycles``, counted by lowest
+    vertex, vertex mask and arc balance."""
+    cycles = enumerate_simple_cycles(g, max(g.n, 3))
+    return Counter((c.vertices[0], c.mask, c.balance) for c in cycles)
+
+
+def _counted(g: MixedGraph) -> Counter:
+    """The same tally read off ``_cycle_counts``, whose every vertex set sits
+    under its lowest vertex with positive counts only."""
+    tally: Counter = Counter()
+    for s, sets in enumerate(_cycle_counts(g)):
+        for mask, counts in sets.items():
+            assert mask & -mask == 1 << s
+            for balance, count in counts.items():
+                assert count > 0
+                tally[s, mask, balance] += count
+    return tally
+
+
+def _connected_with_rank(rng: random.Random, n: int, cycles: int) -> MixedGraph:
+    """A seeded ``random_connected_mixed_graph`` with exactly ``cycles``
+    independent cycles: each pair off the tree is drawn with the odds that
+    expect that many, until a draw has them."""
+    odds = cycles / ((n - 1) * (n - 2) // 2)
+    while True:
+        g = random_connected_mixed_graph(rng, n, extra_prob=odds)
+        if len(g.edges) - n + 1 == cycles:
+            return g
+
+
+class TestCycleCounts:
+    """The oracle's counted cycles against the simple cycles the brute-force
+    search lists."""
+
+    def test_every_code_n4(self):
+        for n in range(5):
+            for _, g in enumerate_mixed_graphs(n):
+                assert _counted(g) == _cycle_tallies(g)
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_desk_shaped_graphs(self, n):
+        rng = random.Random(401 + n)
+        for cycles in range(9, min(12, (n - 1) * (n - 2) // 2) + 1):
+            g = _connected_with_rank(rng, n, cycles)
+            assert _counted(g) == _cycle_tallies(g)
+
+    def test_dense_n12(self):
+        # 35 of the 66 pairs carry an edge
+        g = _connected_with_cycles(random.Random(419), 12, 24)
+        tallies = _cycle_tallies(g)
+        assert sum(tallies.values()) == 36_664
+        assert _counted(g) == tallies
 
 
 class TestCharPolyExpansion:

@@ -26,6 +26,7 @@ from hermix import (
     compute_store,
     eigen_decomposition,
     enumerate_simple_cycles,
+    even_arc_condition,
     every_alpha_monograph,
     extend_monograph,
     is_monograph,
@@ -33,6 +34,7 @@ from hermix import (
     mixed_graph_from_code,
     monograph_partition,
     negated_spectrum_check,
+    oriented_bipartite,
     radius_equality_analysis,
     transfer_eigenvectors,
     verify_eigenpair,
@@ -705,6 +707,21 @@ class TestGaugeCost:
             assert cert.verdict and len(set(cert.potential)) == distinct
             phases, _, walks = self.counted(monkeypatch, lambda: is_monograph(g, alpha, kind))
             assert (phases, walks) == (distinct, 0)
+
+    def test_verdict_readers_build_no_certificate(self, monkeypatch):
+        # the two structural flags, the radius analysis and the extension
+        # read verdicts only: no potential phase on a pass, no violating walk on a failure
+        g = three_class_clique(6)
+        grow = [Attachment(frozenset({0, 3}), AttachDirection.OUT)]
+        for run in (
+            lambda: even_arc_condition(g),
+            lambda: oriented_bipartite(g),
+            lambda: radius_equality_analysis(g, ALPHA_GAMMA),
+            lambda: radius_equality_analysis(g, ALPHA_I),
+            lambda: extend_monograph(g, ALPHA_GAMMA, [0, 3], grow),
+        ):
+            phases, _, walks = self.counted(monkeypatch, run)
+            assert (phases, walks) == (0, 0)
 
     def test_failing_verdict_builds_one_walk(self, monkeypatch):
         # the cycle basis is built inside the count, and builds no walk itself
