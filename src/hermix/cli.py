@@ -42,13 +42,13 @@ from .monographs import (
     AttachDirection,
     Attachment,
     MonographKind,
-    _transfer,
     extend_monograph,
     is_monograph,
     monograph_partition,
     radius_equality_analysis,
+    transfer_eigenvectors,
 )
-from .phases import ALPHA_ONE, Phase, make_alpha
+from .phases import Phase, make_alpha
 from .spectra import (
     DEFAULT_TOL,
     EigenBasis,
@@ -268,14 +268,12 @@ def _parse_basis(text: str, n: int) -> EigenBasis:
 def _cmd_transfer(args: argparse.Namespace) -> None:
     graph = _read_graph(args.graph)
     alpha = make_alpha(args.alpha)
-    if args.basis is None:
-        _, basis = eigen_decomposition(build_hermitian(graph, ALPHA_ONE))
-    else:
+    basis = None
+    if args.basis is not None:
         if args.basis == "-" and args.graph == "-":
             raise ValueError("graph and basis cannot both come from stdin")
         basis = _parse_basis(_read_text(args.basis), graph.n)
-    # eigen_decomposition checked a computed basis within the same budget
-    moved, residual = _transfer(graph, alpha, basis, verify_input=args.basis is not None)
+    moved, residual = transfer_eigenvectors(graph, alpha, basis)
     _emit(
         {
             "alpha": str(alpha),

@@ -1,8 +1,9 @@
 """Cospectrality of one mixed graph under two different unit phases.
 
-The numeric test compares sorted spectra and characteristic polynomial
-coefficients; both must agree within tolerance for a cospectral verdict.
-Alongside it run four structural flags, each a monograph verdict:
+The numeric test compares sorted spectra: they must agree within tolerance
+for a cospectral verdict.  The matrices are Hermitian, so equal spectra and
+equal characteristic polynomials are the same fact, and no polynomial is
+computed.  Alongside it run four structural flags, each a monograph verdict:
 
 * even arc parity: a first-kind monograph at alpha = -1;
 * oriented bipartite: no digon, and a second-kind monograph at alpha = 1;
@@ -53,7 +54,6 @@ from .monographs import MonographKind, _keys, _rule, _verdict, is_monograph
 from .phases import ALPHA_ONE, Phase
 from .spectra import (
     DEFAULT_TOL,
-    _char_poly_checked,
     _Check,
     _digit_entries,
     _eigh_checked,
@@ -158,8 +158,8 @@ def numeric_cospectral(
 ) -> CospectralReport:
     """Compare the spectra of one graph under two phases.
 
-    The verdict holds when both the largest eigenvalue gap and the largest
-    characteristic coefficient gap stay within ``tol``.  If a structural
+    The verdict holds when the largest gap between the sorted spectra stays
+    within ``tol``.  If a structural
     sufficient condition promises cospectrality but the numbers disagree, a
     NumericalError is raised; a sound implementation never reaches it.
     """
@@ -188,13 +188,13 @@ def _checked_gaps(
     tol: float,
     source: Callable[[int, tuple[Phase, ...]], str],
 ) -> np.ndarray:
-    """The cospectral verdict: the largest eigenvalue or characteristic
-    coefficient gap of each graph, whose matrices under the two ``alphas``
-    are ``stacks``, after every numeric check and the structural guard.
+    """The cospectral verdict: the largest eigenvalue gap of each graph,
+    whose matrices under the two ``alphas`` are ``stacks``, after the eigen
+    residual check and the structural guard.
 
     ``flags`` holds the fields of :class:`StructuralFlags`, in order, as
     boolean arrays over the graphs.  The stages run in order: the eigen
-    residual under each phase, the polynomial under each phase, the guard.
+    residual under the first phase, then under the second, then the guard.
     The first one that fails raises NumericalError for its lowest failing
     graph, named by ``source`` from the graph's index and the phases the
     stage concerns.
@@ -204,15 +204,7 @@ def _checked_gaps(
         evals, _, residual = _eigh_checked(a)
         _raise_first([residual], NumericalError, lambda i: source(i, (alpha,)))
         spectra.append(evals)
-    polys = []
-    for a, evals, alpha in zip(stacks, spectra, alphas):
-        coeffs, checks = _char_poly_checked(a, evals[:, ::-1])
-        _raise_first(checks, NumericalError, lambda i: source(i, (alpha,)))
-        polys.append(coeffs)
-    max_gap = np.maximum(
-        np.max(np.abs(spectra[0] - spectra[1]), axis=-1, initial=0.0),
-        np.max(np.abs(polys[0] - polys[1]), axis=-1, initial=0.0),
-    )
+    max_gap = np.max(np.abs(spectra[0] - spectra[1]), axis=-1, initial=0.0)
     # cospectrality is promised by a monograph of one kind under both phases
     # (every forest is one) and, for the two sixth-turn phases, by even arc
     # parity (which every oriented bipartite graph has)

@@ -284,27 +284,21 @@ def _first_above(resid: np.ndarray, bound: float) -> int | None:
 
 
 def transfer_eigenvectors(
-    graph: MixedGraph, alpha: Phase, basis: EigenBasis
+    graph: MixedGraph, alpha: Phase, basis: EigenBasis | None = None
 ) -> tuple[EigenBasis, float]:
     """Turn an eigenbasis of the underlying graph into one of the phase matrix.
 
-    Requires a first-kind monograph.  The input basis is verified against
-    the underlying adjacency first, within ``EIGEN_RESIDUAL_TOL * n``.  The
-    transferred basis multiplies every row by the conjugate of that vertex's
-    potential, which keeps eigenvalues, norms and linear independence; it is
-    verified within ``DEFAULT_TOL`` before it is returned.  Each
-    verification is one :func:`verify_eigenpair` pass over the whole basis;
-    an error names the first failing column in basis order.  Returns the
-    transferred basis and the largest of its residuals (0.0 for an empty
-    basis).
+    Requires a first-kind monograph.  A given ``basis`` is verified against
+    the underlying adjacency first, within ``EIGEN_RESIDUAL_TOL * n``;
+    ``None`` takes the basis :func:`eigen_decomposition` computes for the
+    underlying graph, which has passed the same check.  The transferred
+    basis multiplies every row by the conjugate of that vertex's potential,
+    which keeps eigenvalues, norms and linear independence; it is verified
+    within ``DEFAULT_TOL`` before it is returned.  Each verification is one
+    :func:`verify_eigenpair` pass over the whole basis; an error names the
+    first failing column in basis order.  Returns the transferred basis and
+    the largest of its residuals (0.0 for an empty basis).
     """
-    return _transfer(graph, alpha, basis, verify_input=True)
-
-
-def _transfer(
-    graph: MixedGraph, alpha: Phase, basis: EigenBasis, verify_input: bool
-) -> tuple[EigenBasis, float]:
-    """:func:`transfer_eigenvectors`, with its check of the input basis optional."""
     cert, keys = _certify(graph, alpha, MonographKind.FIRST)
     if not cert.verdict:
         assert cert.violation is not None
@@ -313,7 +307,9 @@ def _transfer(
             f"{list(cert.violation.vertices)} has nontrivial value"
         )
     assert cert.potential is not None
-    if verify_input:
+    if basis is None:
+        _, basis = eigen_decomposition(build_hermitian(graph, ALPHA_ONE))
+    else:
         resid = verify_eigenpair(graph, ALPHA_ONE, basis.values, basis.vectors)
         bad = _first_above(resid, EIGEN_RESIDUAL_TOL * max(graph.n, 1))
         if bad is not None:

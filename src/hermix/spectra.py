@@ -12,10 +12,12 @@ check.  A basis travels as one :class:`EigenBasis`: m eigenvalues and the
 n x m array of their unit eigenvectors, each column normalised once.
 
 Tolerances used across the package are centralized here, and so is every
-consistency check on a matrix, its eigenpairs and its polynomial.  Each
-check is written once, over a stack of matrices: the single-matrix functions
-run it on a stack of one, and the cospectral verdict on one graph or on a
-whole chunk of a search.
+consistency check on a matrix, its eigenpairs and its polynomial.  The
+matrix and eigenpair checks are written once, over a stack of matrices: the
+single-matrix functions run them on a stack of one, and the cospectral
+verdict on one graph or on a whole chunk of a search.  The characteristic
+polynomial is taken one matrix at a time, by :func:`char_poly` only; the
+cospectral verdict compares spectra and computes no polynomial.
 """
 
 from __future__ import annotations
@@ -142,53 +144,6 @@ def _eigh_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Check]:
         lambda i: f"eigenpair residual {resid[i]:.3e} exceeds {budget:.3e}",
     )
     return evals, evecs, check
-
-
-def _char_poly_checked(a: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, list[_Check]]:
-    """Faddeev-LeVerrier over a stack: real coefficients c1..cn per matrix,
-    and the checks on them.
-
-    The recursion runs in complex arithmetic; the imaginary residue of every
-    coefficient must stay under ``COEFF_TOL``, and the real parts must agree
-    within ``COEFF_TOL`` with the polynomial expanded from ``roots``, the
-    matrices' eigenvalues in descending order.
-    """
-    b, n = a.shape[0], a.shape[-1]
-    coeffs = np.empty((b, n), dtype=np.complex128)
-    if n:
-        c = -a.trace(axis1=-2, axis2=-1)
-        coeffs[:, 0] = c
-        eye = np.eye(n, dtype=np.complex128)
-        m = a
-        for k in range(2, n + 1):
-            m = a @ (m + c[:, None, None] * eye)
-            # -trace / k as Python's complex division computes it, signed
-            # zeros included: numpy's own would multiply by 1/k instead
-            c = ((m.trace(axis1=-2, axis2=-1) * -1.0).view(np.float64) / k).view(
-                np.complex128
-            )
-            coeffs[:, k - 1] = c
-    worst_imag = np.abs(coeffs.imag).max(axis=-1, initial=0.0)
-    real = coeffs.real
-    from_roots = np.zeros((b, n + 1))
-    from_roots[:, 0] = 1.0
-    for j in range(n):
-        from_roots[:, 1 : j + 2] -= roots[:, j, None] * from_roots[:, : j + 1]
-    gap = np.abs(real - from_roots[:, 1:]).max(axis=-1, initial=0.0)
-    checks = [
-        _Check(
-            "char-poly residue",
-            worst_imag > COEFF_TOL,
-            lambda i: f"characteristic polynomial imaginary residue {worst_imag[i]:.3e} "
-            f"exceeds {COEFF_TOL:.3e}",
-        ),
-        _Check(
-            "cross-check",
-            gap > COEFF_TOL,
-            lambda i: f"trace recursion and eigenvalue product disagree by {gap[i]:.3e}",
-        ),
-    ]
-    return real, checks
 
 
 @dataclass(frozen=True)
@@ -321,9 +276,36 @@ def char_poly(matrix: HermitianMatrix, spectrum: Spectrum) -> CharPoly:
         raise ValueError(f"spectrum has {len(spectrum)} values for an {n}x{n} matrix")
     if n == 0:
         return CharPoly(())
-    real, checks = _char_poly_checked(matrix.entries[None], np.array([spectrum.values]))
-    _raise_first(checks, NumericalError, lambda _: matrix.source)
-    return CharPoly(tuple(real[0]))
+    a = matrix.entries
+    coeffs = np.empty(n, dtype=np.complex128)
+    c = -a.trace()
+    coeffs[0] = c
+    eye = np.eye(n, dtype=np.complex128)
+    m = a
+    for k in range(2, n + 1):
+        m = a @ (m + c * eye)
+        t = m.trace() * -1.0
+        # -trace / k, each part divided by k: numpy's complex division would
+        # round differently, and Python's would drop the sign of some zeros
+        c = complex(t.real / k, t.imag / k)
+        coeffs[k - 1] = c
+    worst_imag = np.abs(coeffs.imag).max()
+    if worst_imag > COEFF_TOL:
+        raise NumericalError(
+            f"char-poly residue failed on {matrix.source}: characteristic polynomial "
+            f"imaginary residue {worst_imag:.3e} exceeds {COEFF_TOL:.3e}"
+        )
+    from_roots = np.zeros(n + 1)
+    from_roots[0] = 1.0
+    for j, root in enumerate(spectrum.values):
+        from_roots[1 : j + 2] -= root * from_roots[: j + 1]
+    gap = np.abs(coeffs.real - from_roots[1:]).max()
+    if gap > COEFF_TOL:
+        raise NumericalError(
+            f"cross-check failed on {matrix.source}: trace recursion and eigenvalue "
+            f"product disagree by {gap:.3e}"
+        )
+    return CharPoly(tuple(coeffs.real))
 
 
 def spectral_radius(graph: MixedGraph, alpha: Phase) -> float:

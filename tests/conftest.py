@@ -172,6 +172,21 @@ def level_monograph(rng: random.Random, n: int, q: int | None = None) -> MixedGr
     return MixedGraph.from_edges(n, digons, arcs)
 
 
+def three_class_clique(n: int) -> MixedGraph:
+    """K_n as a first-kind gamma monograph: vertex v sits in class v mod 3,
+    a pair inside a class is a digon, and an arc runs from each class to
+    the next."""
+    digons, arcs = [], []
+    for u in range(n):
+        for v in range(u + 1, n):
+            step = (v - u) % 3
+            if step == 0:
+                digons.append((u, v))
+            else:
+                arcs.append((u, v) if step == 1 else (v, u))
+    return MixedGraph.from_edges(n, digons, arcs)
+
+
 def reference_pair_residual(graph: MixedGraph, alpha: Phase, value: float, x) -> float:
     """The vertex summation rule checked one vertex at a time, in plain Python
     sums over the graph's neighbor lists: the reference the library's

@@ -25,13 +25,19 @@ from hermix import (
     MixedGraph,
     build_hermitian,
     eigen_decomposition,
+    make_alpha,
     serialize_graph,
     transfer_eigenvectors,
     verify_eigenpair,
 )
 from hermix.cli import _emit, _json, _pair_texts, _parse_basis, main
 
-from conftest import complete_mixed, level_monograph, reference_json
+from conftest import (
+    complete_mixed,
+    level_monograph,
+    random_connected_mixed_graph,
+    reference_json,
+)
 
 
 @pytest.fixture
@@ -170,8 +176,9 @@ class TestTransfer:
             assert all(len(entry) == 2 for entry in p["vector"])
 
     def test_computed_basis_verified_once(self, capsys, monkeypatch, tmp_path, dc3_file, dc3):
-        # the eigensolve checks the basis it computes, so the CLI checks only
-        # the moved basis; a basis file and the library call check both
+        # the eigensolve checks the basis it computes, so the CLI and the
+        # library call without a basis check only the moved basis; a basis
+        # file and a basis handed to the library call check both
         alphas = []
 
         def counted(graph, alpha, values, vectors):
@@ -188,8 +195,13 @@ class TestTransfer:
         assert alphas == ["root:0/1", "root:1/3"]
         alphas.clear()
         _, basis = eigen_decomposition(build_hermitian(dc3, ALPHA_ONE))
-        transfer_eigenvectors(dc3, ALPHA_GAMMA, basis)
+        given, _ = transfer_eigenvectors(dc3, ALPHA_GAMMA, basis)
         assert alphas == ["root:0/1", "root:1/3"]
+        alphas.clear()
+        computed, _ = transfer_eigenvectors(dc3, ALPHA_GAMMA)
+        assert alphas == ["root:1/3"]
+        assert computed.values.tobytes() == given.values.tobytes()
+        assert computed.vectors.tobytes() == given.vectors.tobytes()
 
     def test_explicit_basis_file(self, capsys, tmp_path, dc3_file):
         basis = [
@@ -641,6 +653,22 @@ class TestCospectral:
         )
         assert data["cospectral"] is True
 
+    def test_sixty_vertex_verdict(self, capsys, tmp_path):
+        # a connected graph of about 2n edges at the smallest benchmark size,
+        # where the trace recursion has lost its digits: the verdict reads
+        # the two spectra only, so the command succeeds and reports their gap
+        g = random_connected_mixed_graph(random.Random(60), 60, extra_prob=1 / 30)
+        path = tmp_path / "g60.mg"
+        path.write_text(serialize_graph(g))
+        alphas = ("gamma", "angle:0.7")
+        data = run_json(
+            capsys, ["cospectral", "--alpha", alphas[0], "--alpha", alphas[1], str(path)]
+        )
+        spectra = [eigen_decomposition(build_hermitian(g, make_alpha(a)))[0] for a in alphas]
+        gap = max(abs(x - y) for x, y in zip(*spectra))
+        assert data["max_gap"] == float(f"{gap:.12g}")
+        assert data["cospectral"] is False
+
 
 class TestSearch:
     def test_stream_shape(self, capsys):
@@ -794,15 +822,20 @@ class TestErrorPaths:
     def test_numerical_error_names_the_graph(
         self, capsys, monkeypatch, dc3_file, argv, alpha
     ):
-        # a negative budget fails the residue check of every polynomial
-        monkeypatch.setattr("hermix.spectra.COEFF_TOL", -1.0)
+        # a negative budget fails the check of every matrix at its stage: the
+        # polynomial's residue, or for the spectra-only verdict the eigen residual
+        budget, stage = {
+            "spectrum": ("COEFF_TOL", "char-poly residue"),
+            "charpoly": ("COEFF_TOL", "char-poly residue"),
+            "cospectral": ("EIGEN_RESIDUAL_TOL", "eigen residual"),
+        }[argv[0]]
+        monkeypatch.setattr(f"hermix.spectra.{budget}", -1.0)
         assert main(argv + [dc3_file]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(
-            f"error: char-poly residue failed on the graph (n=3, 3 edges, {alpha}): "
+            f"error: {stage} failed on the graph (n=3, 3 edges, {alpha}): "
         )
-
 
 
 def test_closed_stdout_ends_quietly():

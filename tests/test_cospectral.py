@@ -20,7 +20,6 @@ from hermix import (
     ScaleLimitError,
     StructuralFlags,
     build_hermitian,
-    char_poly,
     char_poly_expansion,
     eigen_decomposition,
     enumerate_mixed_graphs,
@@ -38,7 +37,7 @@ from hermix import cospectral
 from hermix.cospectral import SEARCH_CHUNK
 from hermix.spectra import DEFAULT_TOL
 
-from conftest import random_mixed_tree
+from conftest import random_mixed_tree, three_class_clique
 
 
 class TestEvenArcCondition:
@@ -172,23 +171,32 @@ class TestNumericCospectral:
         assert report.max_gap <= 1e-9
 
     def test_failing_stage_stops_the_verdict(self, monkeypatch, dc3):
-        # a negative budget fails the residue check of every polynomial; the
-        # first phase's failure raises before the second phase's recursion
-        monkeypatch.setattr("hermix.spectra.COEFF_TOL", -1.0)
+        # a negative budget fails the residual check of every eigensolve; the
+        # first phase's failure raises before the second phase's eigensolve
+        monkeypatch.setattr("hermix.spectra.EIGEN_RESIDUAL_TOL", -1.0)
         calls = []
-        recursion = cospectral._char_poly_checked
+        solve = cospectral._eigh_checked
 
-        def counting(a, roots):
+        def counting(a):
             calls.append(len(a))
-            return recursion(a, roots)
+            return solve(a)
 
-        monkeypatch.setattr(cospectral, "_char_poly_checked", counting)
+        monkeypatch.setattr(cospectral, "_eigh_checked", counting)
         with pytest.raises(NumericalError) as err:
             numeric_cospectral(dc3, ALPHA_I, ALPHA_GAMMA)
         assert calls == [1]
         assert str(err.value).startswith(
-            "char-poly residue failed on the graph (n=3, 3 edges, alpha root:1/4): "
+            "eigen residual failed on the graph (n=3, 3 edges, alpha root:1/4): "
         )
+
+    def test_twelve_vertex_monograph_pair(self):
+        # K12 as a three-class gamma monograph: a first-kind monograph under
+        # gamma and under 1, so the spectra agree; its trace recursion under
+        # gamma leaves an imaginary residue of about 2e-8
+        report = numeric_cospectral(three_class_clique(12), ALPHA_GAMMA, ALPHA_ONE)
+        assert report.cospectral
+        assert report.flags.monograph_both
+        assert report.max_gap <= 1e-12
 
 
 class TestEnumeration:
@@ -328,10 +336,10 @@ def per_graph(request):
 @pytest.mark.parametrize("pair", BATCH_PAIRS, ids="/".join)
 def test_numeric_cospectral_against_public_functions(pair):
     """The verdict that ``numeric_cospectral`` shares with the search, against
-    the public single-matrix functions: the same kernels on both sides, so
-    the report's gap equals the larger of the spectrum and coefficient gaps
-    exactly, and its flags are the structural conditions read off the
-    graph and its fundamental cycles."""
+    the public single-matrix functions: the same eigensolver on both sides,
+    so the report's gap equals the spectrum gap exactly, and its flags are
+    the structural conditions read off the graph and its fundamental
+    cycles."""
     a1, a2 = (make_alpha(spec) for spec in pair)
     rng = random.Random(149)
     for n in range(11):
@@ -339,16 +347,8 @@ def test_numeric_cospectral_against_public_functions(pair):
             weights = (rng.choice((1, 4, 12)), 1, 1, 1)
             digits = rng.choices(range(4), weights=weights, k=n * (n - 1) // 2)
             g = mixed_graph_from_code(n, sum(d * 4**p for p, d in enumerate(digits)))
-            spectra, polys = [], []
-            for alpha in (a1, a2):
-                m = build_hermitian(g, alpha)
-                spectrum, _ = eigen_decomposition(m)
-                spectra.append(spectrum.values)
-                polys.append(char_poly(m, spectrum).coefficients)
-            gap = max(
-                max((abs(x - y) for x, y in zip(*spectra)), default=0.0),
-                max((abs(x - y) for x, y in zip(*polys)), default=0.0),
-            )
+            spectra = [eigen_decomposition(build_hermitian(g, a))[0] for a in (a1, a2)]
+            gap = max((abs(x - y) for x, y in zip(*spectra)), default=0.0)
             report = numeric_cospectral(g, a1, a2)
             assert report.max_gap == gap, (n, g)
             assert report.cospectral == (gap <= DEFAULT_TOL)

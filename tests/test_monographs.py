@@ -49,6 +49,7 @@ from conftest import (
     random_connected_mixed_graph,
     random_mixed_graph,
     reference_pair_residual,
+    three_class_clique,
 )
 
 FIRST = MonographKind.FIRST
@@ -640,21 +641,6 @@ def count_calls(monkeypatch, cls, name):
 
     monkeypatch.setattr(cls, name, counting)
     return calls
-
-
-def three_class_clique(n: int) -> MixedGraph:
-    """K_n as a first-kind gamma monograph: vertex v sits in class v mod 3,
-    a pair inside a class is a digon, and an arc runs from each class to
-    the next."""
-    digons, arcs = [], []
-    for u in range(n):
-        for v in range(u + 1, n):
-            step = (v - u) % 3
-            if step == 0:
-                digons.append((u, v))
-            else:
-                arcs.append((u, v) if step == 1 else (v, u))
-    return MixedGraph.from_edges(n, digons, arcs)
 
 
 class TestGaugeCost:
