@@ -165,16 +165,16 @@ def _edges_json(graph: MixedGraph) -> list[list[Any]]:
 
 def _spectra_payload(graph: MixedGraph, alpha: Phase, oracle: bool) -> dict[str, Any]:
     matrix = build_hermitian(graph, alpha)
-    spectrum, _ = eigen_decomposition(matrix)
+    values = eigen_decomposition(matrix).values
     if oracle:
         poly = char_poly_expansion(graph, alpha)
     else:
-        poly = char_poly(matrix, spectrum)
+        poly = char_poly(matrix, values)
     return {
         "alpha": str(alpha),
-        "eigenvalues": list(spectrum.values),
-        "char_poly": list(poly.coefficients),
-        "spectral_radius": spectrum.radius,
+        "eigenvalues": values.tolist(),
+        "char_poly": list(poly),
+        "spectral_radius": float(np.abs(values).max(initial=0.0)),
     }
 
 

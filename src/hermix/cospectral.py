@@ -54,11 +54,10 @@ from .monographs import MonographKind, _keys, _rule, _verdict, is_monograph
 from .phases import ALPHA_ONE, Phase
 from .spectra import (
     DEFAULT_TOL,
-    _Check,
+    _check_matrices,
     _digit_entries,
     _eigh_checked,
     _graph_source,
-    _matrix_checks,
     _raise_first,
     build_hermitian,
 )
@@ -201,8 +200,8 @@ def _checked_gaps(
     """
     spectra = []
     for a, alpha in zip(stacks, alphas):
-        evals, _, residual = _eigh_checked(a)
-        _raise_first([residual], NumericalError, lambda i: source(i, (alpha,)))
+        evals, _, check = _eigh_checked(a)
+        check(lambda i: source(i, (alpha,)))
         spectra.append(evals)
     max_gap = np.max(np.abs(spectra[0] - spectra[1]), axis=-1, initial=0.0)
     # cospectrality is promised by a monograph of one kind under both phases
@@ -211,13 +210,12 @@ def _checked_gaps(
     even_arc, _, _, monograph_both = flags
     sixth_pair = {a.rotation for a in alphas} == _SIXTH_PAIR
     promised = monograph_both | (sixth_pair & even_arc)
-    guard = _Check(
-        "structural guard",
+    _raise_first(
         promised & ~(max_gap <= tol),
-        lambda i: "structural condition promises cospectrality but max gap is "
-        f"{max_gap[i]:.3e}",
+        NumericalError,
+        lambda i: f"structural guard failed on {source(i, alphas)}: structural "
+        f"condition promises cospectrality but max gap is {max_gap[i]:.3e}",
     )
-    _raise_first([guard], NumericalError, lambda i: source(i, alphas))
     return max_gap
 
 
@@ -364,9 +362,7 @@ class _ChunkScan:
             a = np.zeros((len(codes), n, n), dtype=np.complex128)
             a[:, self.low, self.high] = above[digits]
             a[:, self.high, self.low] = below[digits]
-            _raise_first(
-                _matrix_checks(a), NumericalError, lambda i: source(i, self.alphas)
-            )
+            _check_matrices(a, NumericalError, lambda i: source(i, self.alphas))
             stacks.append(a)
         flags = self._flags(digits)
         max_gap = _checked_gaps(stacks, flags, self.alphas, self.tol, source)

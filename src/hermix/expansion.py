@@ -32,7 +32,6 @@ from typing import Callable
 from .errors import ScaleLimitError
 from .graphs import MixedGraph
 from .phases import Phase, rotation_cos
-from .spectra import CharPoly
 
 __all__ = ["char_poly_expansion"]
 
@@ -144,7 +143,7 @@ def _term_profile(graph: MixedGraph) -> tuple[dict[tuple[int, tuple[int, ...]], 
     return tuple(dict(d) for d in prof)
 
 
-def char_poly_expansion(graph: MixedGraph, alpha: Phase) -> CharPoly:
+def char_poly_expansion(graph: MixedGraph, alpha: Phase) -> tuple[float, ...]:
     """All coefficients c1..cn from the packing enumeration."""
     _guard(graph)
     prof = _term_profile(graph)
@@ -162,4 +161,4 @@ def char_poly_expansion(graph: MixedGraph, alpha: Phase) -> CharPoly:
             terms.append(count * term)
         sign = -1.0 if k % 2 else 1.0
         coeffs.append(sign * math.fsum(terms))
-    return CharPoly(tuple(coeffs))
+    return tuple(coeffs)

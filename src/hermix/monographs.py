@@ -56,11 +56,10 @@ from .spectra import (
     DEFAULT_TOL,
     EIGEN_RESIDUAL_TOL,
     EigenBasis,
-    Spectrum,
     _graph_source,
+    _raise_first,
     build_hermitian,
     eigen_decomposition,
-    spectra_equal,
     spectral_radius,
     verify_eigenpair,
 )
@@ -216,6 +215,22 @@ def _certify(
     return MonographCertificate(True, potential, None), keys
 
 
+def _require(
+    graph: MixedGraph, alpha: Phase, kind: MonographKind, requirement: str
+) -> tuple[tuple[Phase, ...], list[int]]:
+    """The potential and its value keys, as :func:`_certify` gives them; a
+    graph that is not a monograph of ``kind`` raises NotMonographError,
+    ``requirement`` followed by a cycle of nontrivial value."""
+    cert, keys = _certify(graph, alpha, kind)
+    if not cert.verdict:
+        assert cert.violation is not None
+        raise NotMonographError(
+            f"{requirement}cycle {list(cert.violation.vertices)} has nontrivial value"
+        )
+    assert cert.potential is not None
+    return cert.potential, keys
+
+
 @dataclass(frozen=True, eq=False)
 class MonographPartition:
     """Vertex classes keyed by potential value.
@@ -233,20 +248,13 @@ def monograph_partition(
     graph: MixedGraph, alpha: Phase, kind: MonographKind
 ) -> MonographPartition:
     """Group vertices by potential; raises NotMonographError when there is none."""
-    cert, keys = _certify(graph, alpha, kind)
-    if not cert.verdict:
-        assert cert.violation is not None
-        raise NotMonographError(
-            f"graph is not a monograph of kind {kind.value}: "
-            f"cycle {list(cert.violation.vertices)} has nontrivial value"
-        )
-    assert cert.potential is not None
+    potential, keys = _require(
+        graph, alpha, kind, f"graph is not a monograph of kind {kind.value}: "
+    )
     groups: dict[int, list[int]] = {}
     for v, key in enumerate(keys):
         groups.setdefault(key, []).append(v)
-    classes = {
-        cert.potential[members[0]]: tuple(members) for members in groups.values()
-    }
+    classes = {potential[members[0]]: tuple(members) for members in groups.values()}
     _check_partition_edges(graph, alpha, kind)
     return MonographPartition(classes)
 
@@ -277,12 +285,6 @@ def _check_partition_edges(graph: MixedGraph, alpha: Phase, kind: MonographKind)
             )
 
 
-def _first_above(resid: np.ndarray, bound: float) -> int | None:
-    """Index of the first residual not within ``bound``; NaN counts as failing."""
-    failed = np.flatnonzero(~(resid <= bound))
-    return int(failed[0]) if failed.size else None
-
-
 def transfer_eigenvectors(
     graph: MixedGraph, alpha: Phase, basis: EigenBasis | None = None
 ) -> tuple[EigenBasis, float]:
@@ -293,41 +295,38 @@ def transfer_eigenvectors(
     ``None`` takes the basis :func:`eigen_decomposition` computes for the
     underlying graph, which has passed the same check.  The transferred
     basis multiplies every row by the conjugate of that vertex's potential,
-    which keeps eigenvalues, norms and linear independence; it is verified
-    within ``DEFAULT_TOL`` before it is returned.  Each verification is one
-    :func:`verify_eigenpair` pass over the whole basis; an error names the
-    first failing column in basis order.  Returns the transferred basis and
-    the largest of its residuals (0.0 for an empty basis).
+    which keeps eigenvalues, norms, linear independence and each vertex's
+    residual modulus; it is verified within the same budget before it is
+    returned.  Each verification is one :func:`verify_eigenpair` pass over
+    the whole basis; an error names the first failing column in basis
+    order.  Returns the transferred basis and the largest of its residuals
+    (0.0 for an empty basis).
     """
-    cert, keys = _certify(graph, alpha, MonographKind.FIRST)
-    if not cert.verdict:
-        assert cert.violation is not None
-        raise NotMonographError(
-            f"transfer requires a first-kind monograph; cycle "
-            f"{list(cert.violation.vertices)} has nontrivial value"
-        )
-    assert cert.potential is not None
+    potential, keys = _require(
+        graph, alpha, MonographKind.FIRST, "transfer requires a first-kind monograph; "
+    )
+    budget = EIGEN_RESIDUAL_TOL * max(graph.n, 1)
     if basis is None:
-        _, basis = eigen_decomposition(build_hermitian(graph, ALPHA_ONE))
+        basis = eigen_decomposition(build_hermitian(graph, ALPHA_ONE))
     else:
-        resid = verify_eigenpair(graph, ALPHA_ONE, basis.values, basis.vectors)
-        bad = _first_above(resid, EIGEN_RESIDUAL_TOL * max(graph.n, 1))
-        if bad is not None:
-            raise ValueError(
-                f"basis pair with eigenvalue {basis.values[bad]:.6g} fails verification "
-                f"against the underlying graph (residual {resid[bad]:.3e})"
-            )
+        given = verify_eigenpair(graph, ALPHA_ONE, basis.values, basis.vectors)
+        _raise_first(
+            ~(given <= budget),
+            ValueError,
+            lambda i: f"basis pair with eigenvalue {basis.values[i]:.6g} fails verification "
+            f"against the underlying graph (residual {given[i]:.3e})",
+        )
     # one conjugate per distinct potential, looked up per vertex by its key
-    conj = {k: p.value.conjugate() for k, p in dict(zip(keys, cert.potential)).items()}
+    conj = {k: p.value.conjugate() for k, p in dict(zip(keys, potential)).items()}
     gauge = np.array([conj[k] for k in keys], dtype=np.complex128)
     moved = EigenBasis(basis.values, gauge[:, None] * basis.vectors)
     resid = verify_eigenpair(graph, alpha, moved.values, moved.vectors)
-    bad = _first_above(resid, DEFAULT_TOL)
-    if bad is not None:
-        raise NumericalError(
-            f"transfer residual failed on {_graph_source(graph, alpha)}: "
-            f"transferred pair residual {resid[bad]:.3e} exceeds {DEFAULT_TOL:.3e}"
-        )
+    _raise_first(
+        ~(resid <= budget),
+        NumericalError,
+        lambda i: f"transfer residual failed on {_graph_source(graph, alpha)}: "
+        f"transferred pair residual {resid[i]:.3e} exceeds {budget:.3e}",
+    )
     return moved, float(resid.max(initial=0.0))
 
 
@@ -339,17 +338,12 @@ def negated_spectrum_check(
 
     The paper's spectral claim for second-kind monographs (acceptance check 5).
     """
-    cert = is_monograph(graph, alpha, MonographKind.SECOND)
-    if not cert.verdict:
-        assert cert.violation is not None
-        raise NotMonographError(
-            f"negated spectrum check requires a second-kind monograph; cycle "
-            f"{list(cert.violation.vertices)} has nontrivial value"
-        )
-    spec_alpha, _ = eigen_decomposition(build_hermitian(graph, alpha))
-    spec_under, _ = eigen_decomposition(build_hermitian(graph, ALPHA_ONE))
-    negated = Spectrum(tuple(-v for v in spec_under.values))
-    return spectra_equal(spec_alpha, negated, tol)
+    requirement = "negated spectrum check requires a second-kind monograph; "
+    _require(graph, alpha, MonographKind.SECOND, requirement)
+    values = eigen_decomposition(build_hermitian(graph, alpha)).values
+    under = eigen_decomposition(build_hermitian(graph, ALPHA_ONE)).values
+    # both descending: the negated underlying spectrum, descending, is -under[::-1]
+    return bool((np.abs(values + under[::-1]) <= tol).all())
 
 
 class AttachDirection(Enum):

@@ -8,23 +8,28 @@ Every eigenvalue computation goes through LAPACK's complex Hermitian solver
 (``np.linalg.eigh`` / ``np.linalg.eigvalsh``) on the n x n matrix itself.
 It returns real eigenvalues and an orthonormal eigenbasis, degenerate
 eigenspaces included, so no post-processing is needed beyond a residual
-check.  A basis travels as one :class:`EigenBasis`: m eigenvalues and the
-n x m array of their unit eigenvectors, each column normalised once.
+check.  Results are plain values.  A basis travels as one
+:class:`EigenBasis`: m eigenvalues, descending from
+:func:`eigen_decomposition`, and the n x m array of their unit
+eigenvectors, each column normalised once.  A characteristic polynomial is
+a tuple of floats.
 
 Tolerances used across the package are centralized here, and so is every
-consistency check on a matrix, its eigenpairs and its polynomial.  The
-matrix and eigenpair checks are written once, over a stack of matrices: the
-single-matrix functions run them on a stack of one, and the cospectral
-verdict on one graph or on a whole chunk of a search.  The characteristic
-polynomial is taken one matrix at a time, by :func:`char_poly` only; the
-cospectral verdict compares spectra and computes no polynomial.
+consistency check on a matrix, its eigenpairs and its polynomial.  Each
+check builds a mask over a stack of matrices and raises, through one
+helper, for the lowest index the mask marks.  The matrix and eigenpair
+checks are written once, over a stack: the single-matrix functions run them
+on a stack of one, and the cospectral verdict on one graph or on a whole
+chunk of a search.  The characteristic polynomial is taken one matrix at a
+time, by :func:`char_poly` only; the cospectral verdict compares spectra and
+computes no polynomial.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,22 +39,22 @@ from .phases import Phase
 
 __all__ = [
     "HermitianMatrix",
-    "Spectrum",
-    "CharPoly",
     "EigenBasis",
     "build_hermitian",
     "eigen_decomposition",
     "char_poly",
     "spectral_radius",
-    "spectra_equal",
     "verify_eigenpair",
 ]
 
-# per-pair eigen residual budget, scaled by n
+# eigenpair residual budget, times n: a backward-stable solve leaves about
+# n*eps and a basis printed at 12 digits about n*1e-12, a wrong pair far more
 EIGEN_RESIDUAL_TOL = 1e-9
-# characteristic polynomial coefficients: imaginary residue and path agreement
+# the trace recursion's imaginary residue and gap to the eigenvalue product:
+# absolute, so sound only while the coefficients, which grow like n!, stay small
 COEFF_TOL = 1e-8
-# default comparison tolerance for spectra and reports
+# default for comparing spectra (--tol): a backward-stable solve moves an
+# eigenvalue by about n*n*eps at most, below 1e-8 up to n of several thousand
 DEFAULT_TOL = 1e-8
 
 
@@ -69,35 +74,20 @@ class HermitianMatrix:
         a = np.array(self.entries, dtype=np.complex128)
         if a.shape != (self.n, self.n):
             raise ValueError(f"expected a {self.n}x{self.n} matrix, got shape {a.shape}")
-        _raise_first(_matrix_checks(a[None]), ValueError, lambda _: self.source)
+        _check_matrices(a[None], ValueError, lambda _: self.source)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
 
-class _Check(NamedTuple):
-    """One consistency check over a stack of matrices: the stage it belongs
-    to, a mask of the failing matrices and the message for one of them."""
-
-    stage: str
-    failed: np.ndarray
-    message: Callable[[int], str]
-
-
 def _raise_first(
-    checks: Iterable[_Check], error: type[Exception], source: Callable[[int], str]
+    failed: np.ndarray, error: type[Exception], message: Callable[[int], str]
 ) -> None:
-    """Raise ``error`` for the lowest failing stack index, naming the stage
-    and ``source`` of that index; when one matrix fails several checks, the
-    one listed first wins."""
-    first: tuple[int, _Check] | None = None
-    for check in checks:
-        if check.failed.any():
-            i = int(check.failed.argmax())
-            if first is None or i < first[0]:
-                first = (i, check)
-    if first is not None:
-        i, check = first
-        raise error(f"{check.stage} failed on {source(i)}: {check.message(i)}")
+    """Raise ``error(message(i))`` for the lowest index ``i`` that the boolean
+    mask ``failed`` marks.  Bounds are checked as ``~(x <= bound)``, so NaN
+    counts as failing."""
+    if failed.any():
+        i = int(failed.argmax())
+        raise error(message(i))
 
 
 def _graph_source(graph: MixedGraph, *alphas: Phase) -> str:
@@ -109,83 +99,57 @@ def _graph_source(graph: MixedGraph, *alphas: Phase) -> str:
     )
 
 
-def _matrix_checks(a: np.ndarray) -> list[_Check]:
-    """Exactly Hermitian, zero diagonal, nonzero entries of modulus 1."""
+_MATRIX_FAULTS = (
+    "matrix is not exactly Hermitian",
+    "diagonal must be zero",
+    "nonzero entries must have modulus 1",
+)
+
+
+def _check_matrices(
+    a: np.ndarray, error: type[Exception], source: Callable[[int], str]
+) -> None:
+    """Exactly Hermitian, zero diagonal, nonzero entries of modulus 1.  The
+    lowest failing matrix of the stack ``a`` raises ``error``, named by
+    ``source`` and by the first of these checks it fails."""
     modulus = np.abs(a)
-    return [
-        _Check(
-            "matrix check",
+    failed = np.stack(
+        [
             ~(a == a.conj().swapaxes(-1, -2)).all(axis=(-2, -1)),
-            lambda i: "matrix is not exactly Hermitian",
-        ),
-        _Check(
-            "matrix check",
             a.diagonal(axis1=-2, axis2=-1).any(axis=-1),
-            lambda i: "diagonal must be zero",
-        ),
-        _Check(
-            "matrix check",
+            # an entry is the cosine and sine of one rotation, a few eps off
+            # modulus 1; anything further from it is no unit phase
             ((modulus != 0) & (np.abs(modulus - 1.0) > 1e-12)).any(axis=(-2, -1)),
-            lambda i: "nonzero entries must have modulus 1",
-        ),
-    ]
+        ]
+    )
+    _raise_first(
+        failed.any(axis=0),
+        error,
+        lambda i: f"matrix check failed on {source(i)}: "
+        f"{_MATRIX_FAULTS[failed[:, i].argmax()]}",
+    )
 
 
-def _eigh_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Check]:
+def _eigh_checked(
+    a: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, Callable[[Callable[[int], str]], None]]:
     """Batched complex Hermitian ``eigh``: ascending eigenvalues, eigenvector
-    columns, and the check that every pair's residual stays within
-    ``EIGEN_RESIDUAL_TOL * n``."""
+    columns, and the eigen residual check.  Called with ``source``, the check
+    raises NumericalError for the lowest matrix, named by ``source``, with a
+    pair residual above ``EIGEN_RESIDUAL_TOL * n``."""
     evals, evecs = np.linalg.eigh(a)
     resid = np.abs(a @ evecs - evecs * evals[..., None, :]).max(axis=(-2, -1), initial=0.0)
     budget = EIGEN_RESIDUAL_TOL * a.shape[-1]
-    check = _Check(
-        "eigen residual",
-        resid > budget,
-        lambda i: f"eigenpair residual {resid[i]:.3e} exceeds {budget:.3e}",
-    )
+
+    def check(source: Callable[[int], str]) -> None:
+        _raise_first(
+            ~(resid <= budget),
+            NumericalError,
+            lambda i: f"eigen residual failed on {source(i)}: "
+            f"eigenpair residual {resid[i]:.3e} exceeds {budget:.3e}",
+        )
+
     return evals, evecs, check
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Real eigenvalues, sorted descending."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        vals = tuple(sorted((float(v) for v in self.values), reverse=True))
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def radius(self) -> float:
-        return max((abs(v) for v in self.values), default=0.0)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
-
-
-@dataclass(frozen=True)
-class CharPoly:
-    """Coefficients c1..cn of the monic polynomial x^n + c1 x^(n-1) + ... + cn."""
-
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients)
-
-    def monic(self) -> tuple[float, ...]:
-        """Full coefficient list starting with the leading 1."""
-        return (1.0,) + self.coefficients
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,37 +209,35 @@ def build_hermitian(graph: MixedGraph, alpha: Phase) -> HermitianMatrix:
     return HermitianMatrix(graph.n, a, _graph_source(graph, alpha))
 
 
-def eigen_decomposition(matrix: HermitianMatrix) -> tuple[Spectrum, EigenBasis]:
-    """Spectrum plus an orthonormal eigenbasis, eigenvalues descending.
+def eigen_decomposition(matrix: HermitianMatrix) -> EigenBasis:
+    """An orthonormal eigenbasis, eigenvalues descending.
 
-    One complex Hermitian ``eigh`` gives both; each eigenvalue is reported
+    One complex Hermitian ``eigh`` gives it; each eigenvalue is reported
     with its own column, so a degenerate eigenspace comes back as an
     orthonormal basis of that space.  Residuals above
     ``EIGEN_RESIDUAL_TOL * n`` raise NumericalError rather than returning
     a silently bad basis.
     """
     evals, evecs, check = _eigh_checked(matrix.entries[None])
-    _raise_first([check], NumericalError, lambda _: matrix.source)
-    basis = EigenBasis(evals[0, ::-1], evecs[0, :, ::-1])
-    # one source of truth: the spectrum lists exactly the basis eigenvalues,
-    # so degenerate eigenvalues agree to the bit across both views
-    return Spectrum(tuple(basis.values.tolist())), basis
+    check(lambda _: matrix.source)
+    return EigenBasis(evals[0, ::-1], evecs[0, :, ::-1])
 
 
-def char_poly(matrix: HermitianMatrix, spectrum: Spectrum) -> CharPoly:
-    """Characteristic polynomial coefficients by trace recursion.
+def char_poly(matrix: HermitianMatrix, values: Sequence[float]) -> tuple[float, ...]:
+    """Coefficients c1..cn of the monic characteristic polynomial
+    x^n + c1 x^(n-1) + ... + cn, by trace recursion.
 
     Runs the Faddeev-LeVerrier recursion in complex arithmetic, demands the
     imaginary residue of every coefficient stay under ``COEFF_TOL``, and
-    cross-checks against the polynomial expanded from ``spectrum``, the
+    cross-checks against the polynomial expanded from ``values``, the
     matrix's eigenvalues as :func:`eigen_decomposition` returns them, so the
     matrix is solved only once.  Any disagreement raises NumericalError.
     """
     n = matrix.n
-    if len(spectrum) != n:
-        raise ValueError(f"spectrum has {len(spectrum)} values for an {n}x{n} matrix")
+    if len(values) != n:
+        raise ValueError(f"spectrum has {len(values)} values for an {n}x{n} matrix")
     if n == 0:
-        return CharPoly(())
+        return ()
     a = matrix.entries
     coeffs = np.empty(n, dtype=np.complex128)
     c = -a.trace()
@@ -297,7 +259,7 @@ def char_poly(matrix: HermitianMatrix, spectrum: Spectrum) -> CharPoly:
         )
     from_roots = np.zeros(n + 1)
     from_roots[0] = 1.0
-    for j, root in enumerate(spectrum.values):
+    for j, root in enumerate(values):
         from_roots[1 : j + 2] -= root * from_roots[: j + 1]
     gap = np.abs(coeffs.real - from_roots[1:]).max()
     if gap > COEFF_TOL:
@@ -305,7 +267,7 @@ def char_poly(matrix: HermitianMatrix, spectrum: Spectrum) -> CharPoly:
             f"cross-check failed on {matrix.source}: trace recursion and eigenvalue "
             f"product disagree by {gap:.3e}"
         )
-    return CharPoly(tuple(coeffs.real))
+    return tuple(coeffs.real.tolist())
 
 
 def spectral_radius(graph: MixedGraph, alpha: Phase) -> float:
@@ -314,13 +276,6 @@ def spectral_radius(graph: MixedGraph, alpha: Phase) -> float:
         return 0.0
     evals = np.linalg.eigvalsh(build_hermitian(graph, alpha).entries)
     return float(np.max(np.abs(evals)))
-
-
-def spectra_equal(a: Spectrum, b: Spectrum, tol: float = DEFAULT_TOL) -> bool:
-    """Elementwise comparison of two descending spectra of equal size."""
-    if len(a) != len(b):
-        raise ValueError(f"spectra have different sizes {len(a)} and {len(b)}")
-    return all(abs(x - y) <= tol for x, y in zip(a, b))
 
 
 def _neighbor_sums(x: np.ndarray, lists: list[list[int]]) -> np.ndarray:

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from hermix import (
-    CharPoly,
     MixedGraph,
     Phase,
     arc_balance,
@@ -67,11 +66,11 @@ def k4x() -> MixedGraph:
     return parse_graph((FIXTURES / "k4x.mg").read_text())
 
 
-def numeric_char_poly(g: MixedGraph, alpha: Phase) -> CharPoly:
+def numeric_char_poly(g: MixedGraph, alpha: Phase) -> tuple[float, ...]:
     """The trace-recursion polynomial, cross-checked against the matrix's own
     eigenvalues."""
     matrix = build_hermitian(g, alpha)
-    return char_poly(matrix, eigen_decomposition(matrix)[0])
+    return char_poly(matrix, eigen_decomposition(matrix).values)
 
 
 def complete_mixed(n: int, rng: random.Random) -> MixedGraph:

@@ -78,6 +78,14 @@ class TestSpectrum:
         data = run_json(capsys, ["spectrum", "--alpha", "gamma", "-"])
         assert data["eigenvalues"] == [2.0, -1.0, -1.0]
 
+    def test_empty_graph(self, capsys, tmp_path):
+        path = tmp_path / "empty.mg"
+        path.write_text("0\n")
+        assert main(["spectrum", "--alpha", "i", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            '{"alpha": "root:1/4", "eigenvalues": [], "char_poly": [], "spectral_radius": 0.0}\n'
+        )
+
 
 class TestCharpoly:
     def test_both_methods_agree(self, capsys, dc3_file):
@@ -164,7 +172,7 @@ class TestTransfer:
         data = run_json(capsys, ["transfer", "--alpha", "gamma", dc3_file])
         assert data["max_residual"] <= 1e-8
         # the reported residual is the worst one over the printed pairs
-        _, basis = eigen_decomposition(build_hermitian(dc3, ALPHA_ONE))
+        basis = eigen_decomposition(build_hermitian(dc3, ALPHA_ONE))
         moved, _ = transfer_eigenvectors(dc3, ALPHA_GAMMA, basis)
         worst = verify_eigenpair(dc3, ALPHA_GAMMA, moved.values, moved.vectors).max()
         assert data["max_residual"] == float(f"{worst:.12g}")
@@ -194,7 +202,7 @@ class TestTransfer:
         run_json(capsys, ["transfer", "--alpha", "gamma", "--basis", str(basis_path), dc3_file])
         assert alphas == ["root:0/1", "root:1/3"]
         alphas.clear()
-        _, basis = eigen_decomposition(build_hermitian(dc3, ALPHA_ONE))
+        basis = eigen_decomposition(build_hermitian(dc3, ALPHA_ONE))
         given, _ = transfer_eigenvectors(dc3, ALPHA_GAMMA, basis)
         assert alphas == ["root:0/1", "root:1/3"]
         alphas.clear()
@@ -266,6 +274,53 @@ class TestTransfer:
         basis = _parse_basis('[{"lambda": 1, "vector": [[0.6, 0], 0, [0, -0.8]]}]', 3)
         assert list(basis.values) == [1.0]
         assert list(basis.vectors[:, 0]) == [0.6, 0.0, -0.8j]
+
+    @staticmethod
+    def _path_basis(tmp_path, shift):
+        """The arc path 0 -> 1 -> ... -> 59 and its underlying eigenbasis with
+        ``shift`` added to the first eigenvalue, as files; and the largest
+        residual of that basis against the underlying graph."""
+        g = MixedGraph.from_edges(60, [], [(v, v + 1) for v in range(59)])
+        basis = eigen_decomposition(build_hermitian(g, ALPHA_ONE))
+        values = basis.values.copy()
+        values[0] += shift
+        pairs = [
+            {"lambda": lam, "vector": [[z.real, z.imag] for z in col]}
+            for lam, col in zip(values.tolist(), basis.vectors.T.tolist())
+        ]
+        graph_path, basis_path = tmp_path / "path60.mg", tmp_path / "basis.json"
+        graph_path.write_text(serialize_graph(g))
+        basis_path.write_text(json.dumps(pairs))
+        worst = verify_eigenpair(g, ALPHA_ONE, values, basis.vectors).max()
+        return ["transfer", "--alpha", "gamma", "--basis", str(basis_path), str(graph_path)], worst
+
+    def test_basis_within_the_eigen_budget(self, capsys, tmp_path):
+        # the gauge keeps every vertex's residual modulus, so a basis the
+        # input check accepts moves to one within the same budget of 1e-9 * n
+        argv, worst = self._path_basis(tmp_path, 2.5e-7)
+        assert 1e-8 < worst <= 1e-9 * 60
+        data = run_json(capsys, argv)
+        assert data["max_residual"] == pytest.approx(worst, rel=1e-6)
+
+    def test_basis_above_the_eigen_budget(self, capsys, tmp_path):
+        argv, worst = self._path_basis(tmp_path, 1e-6)
+        assert worst > 1e-9 * 60
+        assert main(argv) == 2
+        # the first eigenvalue, 2 cos(pi/61), names the pair
+        assert capsys.readouterr().err == (
+            "error: basis pair with eigenvalue 1.99735 fails verification against the "
+            f"underlying graph (residual {worst:.3e})\n"
+        )
+
+    def test_nan_lambda_names_the_pair(self, capsys, tmp_path, dc3_file):
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text('[{"lambda": 2, "vector": [1, 1, 1]}, {"lambda": NaN, "vector": [1, 0, 0]}]')
+        code = main(["transfer", "--alpha", "gamma", "--basis", str(basis_path), dc3_file])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: basis pair with eigenvalue nan fails verification against the "
+            "underlying graph (residual nan)\n"
+        )
 
     def test_bad_basis_is_input_error(self, capsys, tmp_path, dc3_file):
         basis_path = tmp_path / "basis.json"
@@ -664,7 +719,7 @@ class TestCospectral:
         data = run_json(
             capsys, ["cospectral", "--alpha", alphas[0], "--alpha", alphas[1], str(path)]
         )
-        spectra = [eigen_decomposition(build_hermitian(g, make_alpha(a)))[0] for a in alphas]
+        spectra = [eigen_decomposition(build_hermitian(g, make_alpha(a))).values for a in alphas]
         gap = max(abs(x - y) for x, y in zip(*spectra))
         assert data["max_gap"] == float(f"{gap:.12g}")
         assert data["cospectral"] is False

@@ -16,7 +16,6 @@ PUBLIC_NAMES = [
     "ArcBalance",
     "AttachDirection",
     "Attachment",
-    "CharPoly",
     "CospectralReport",
     "DegreeProfile",
     "Edge",
@@ -36,7 +35,6 @@ PUBLIC_NAMES = [
     "RadiusReport",
     "ScaleLimitError",
     "SimpleCycle",
-    "Spectrum",
     "StoreDescriptor",
     "StructuralFlags",
     "Walk",
@@ -68,7 +66,6 @@ PUBLIC_NAMES = [
     "rotation_sin",
     "search_cospectral",
     "serialize_graph",
-    "spectra_equal",
     "spectral_radius",
     "transfer_eigenvectors",
     "verify_eigenpair",
