@@ -17,12 +17,9 @@ from .errors import (
 )
 from .graphs import (
     DegreeProfile,
-    Edge,
-    EdgeKind,
     FundamentalCycleBasis,
     MixedGraph,
     SimpleCycle,
-    Walk,
     connected_components,
     degree_profile,
     enumerate_simple_cycles,
@@ -59,7 +56,6 @@ from .monographs import (
     Attachment,
     MonographCertificate,
     MonographKind,
-    MonographPartition,
     RadiusReport,
     StoreDescriptor,
     compute_store,
@@ -92,12 +88,9 @@ __all__ = [
     "NumericalError",
     "ScaleLimitError",
     "DegreeProfile",
-    "Edge",
-    "EdgeKind",
     "FundamentalCycleBasis",
     "MixedGraph",
     "SimpleCycle",
-    "Walk",
     "connected_components",
     "degree_profile",
     "enumerate_simple_cycles",
@@ -128,7 +121,6 @@ __all__ = [
     "Attachment",
     "MonographCertificate",
     "MonographKind",
-    "MonographPartition",
     "RadiusReport",
     "StoreDescriptor",
     "compute_store",

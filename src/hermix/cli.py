@@ -212,19 +212,19 @@ def _cmd_monograph(args: argparse.Namespace) -> None:
         }
     else:
         assert cert.violation is not None
-        payload["violation"] = list(cert.violation.vertices)
+        payload["violation"] = list(cert.violation)
     _emit(payload)
 
 
 def _cmd_partition(args: argparse.Namespace) -> None:
     graph = _read_graph(args.graph)
     alpha = make_alpha(args.alpha)
-    part = monograph_partition(graph, alpha, _kind(args))
+    classes = monograph_partition(graph, alpha, _kind(args))
     _emit(
         {
             "alpha": str(alpha),
             "kind": args.kind,
-            "classes": {p.turns: list(vs) for p, vs in part.classes.items()},
+            "classes": {p.turns: list(vs) for p, vs in classes.items()},
         }
     )
 

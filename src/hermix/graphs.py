@@ -11,11 +11,12 @@ the exhaustive search's base-4 codes use for the pair: 1 for a digon, 2 for
 an arc from ``lo`` up to ``hi``, 3 for an arc from ``hi`` down to ``lo``
 (0, no edge, never appears in a table).  ``_DIGIT_STEP[digit]`` is the
 pair code of the step from ``lo`` to ``hi``.  The parser and the code
-decoder check their input once and hand the table over as it is; the
-neighbour views, the pair codes, the spanning forest, the Hermitian matrix
-and the ``Edge`` objects of :attr:`MixedGraph.edges` are all read off it,
-each on first use.  Two graphs are equal exactly when their vertex counts
-and tables are.
+decoder check their input once and hand the table over as it is, and
+:meth:`MixedGraph.from_edges` builds it from digon and arc pairs; the
+neighbour lists, the pair codes, the spanning forest and the Hermitian
+matrix are all read off it, each on first use.  Two graphs are equal
+exactly when their vertex counts and tables are.  A walk is a plain tuple
+of vertices.
 
 Every type here is immutable after construction, so instances are safe to
 share between threads and to use as cache keys; the operations are pure
@@ -26,17 +27,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import GraphFormatError
 
 __all__ = [
-    "EdgeKind",
-    "Edge",
     "MixedGraph",
-    "Walk",
     "DegreeProfile",
     "FundamentalCycleBasis",
     "SimpleCycle",
@@ -49,59 +46,11 @@ __all__ = [
 ]
 
 
-class EdgeKind(Enum):
-    DIGON = "digon"
-    ARC = "arc"
-
-
-@dataclass(frozen=True)
-class Edge:
-    """One edge: an undirected digon (stored with ``u < v``) or an arc ``u -> v``."""
-
-    u: int
-    v: int
-    kind: EdgeKind
-
-    def __post_init__(self) -> None:
-        if self.u == self.v:
-            raise ValueError(f"loop at vertex {self.u}")
-        if self.u < 0 or self.v < 0:
-            raise ValueError("negative vertex id")
-        if self.kind is EdgeKind.DIGON and self.u > self.v:
-            raise ValueError("digon endpoints must be stored smaller id first")
-
-    @classmethod
-    def digon(cls, u: int, v: int) -> "Edge":
-        return cls(min(u, v), max(u, v), EdgeKind.DIGON)
-
-    @classmethod
-    def arc(cls, u: int, v: int) -> "Edge":
-        return cls(u, v, EdgeKind.ARC)
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        """Unordered endpoints, smaller id first."""
-        return (self.u, self.v) if self.u < self.v else (self.v, self.u)
-
-
 # one edge table row: (lo, hi, digit) with lo < hi
 _Row = tuple[int, int, int]
 
 # the pair code of the step from lo to hi, by digit: none, digon, arc up, arc down
 _DIGIT_STEP = (0, 0, 1, -1)
-
-
-def _row(e: Edge) -> _Row:
-    if e.kind is EdgeKind.DIGON:
-        return (e.u, e.v, 1)
-    return (e.u, e.v, 2) if e.u < e.v else (e.v, e.u, 3)
-
-
-def _edge(row: _Row) -> Edge:
-    lo, hi, digit = row
-    if digit == 1:
-        return Edge(lo, hi, EdgeKind.DIGON)
-    return Edge(lo, hi, EdgeKind.ARC) if digit == 2 else Edge(hi, lo, EdgeKind.ARC)
 
 
 def _ends(row: _Row) -> tuple[int, int]:
@@ -114,26 +63,12 @@ def _ends(row: _Row) -> tuple[int, int]:
 class MixedGraph:
     """A loop-free mixed graph on vertices ``0..n-1``, one edge per pair at most.
 
-    ``MixedGraph(n, edges)`` checks the edges in ``sorted_edges`` order, so
-    an error names the lowest offending pair.
+    Build one with :meth:`from_edges`, :func:`parse_graph` or
+    :func:`hermix.cospectral.mixed_graph_from_code`.
     """
 
     n: int
     _table: tuple[_Row, ...]
-
-    def __init__(self, n: int, edges: Iterable[Edge]) -> None:
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        table: list[_Row] = []
-        for e in sorted(frozenset(edges), key=_row):
-            if e.u >= n or e.v >= n:
-                raise ValueError(f"edge ({e.u}, {e.v}) uses a vertex id >= n={n}")
-            row = _row(e)
-            if table and table[-1][:2] == row[:2]:
-                raise ValueError(f"more than one edge for pair {e.pair}")
-            table.append(row)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_table", tuple(table))
 
     @classmethod
     def _from_table(cls, n: int, table: tuple[_Row, ...]) -> "MixedGraph":
@@ -150,17 +85,29 @@ class MixedGraph:
         digons: Iterable[tuple[int, int]] = (),
         arcs: Iterable[tuple[int, int]] = (),
     ) -> "MixedGraph":
-        es = [Edge.digon(u, v) for u, v in digons]
-        es += [Edge.arc(u, v) for u, v in arcs]
-        return cls(n, frozenset(es))
+        """A graph with digons on the given pairs and arcs from the first
+        vertex of each pair to the second.
 
-    @cached_property
-    def edges(self) -> frozenset[Edge]:
-        return frozenset(self.sorted_edges)
-
-    @cached_property
-    def sorted_edges(self) -> tuple[Edge, ...]:
-        return tuple(map(_edge, self._table))
+        An edge given twice counts once.  The rows are checked in table
+        order, so an error names the lowest offending row.
+        """
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
+        rows = {(u, v, 1) if u < v else (v, u, 1) for u, v in digons}
+        rows.update((u, v, 2) if u < v else (v, u, 3) for u, v in arcs)
+        table: list[_Row] = []
+        for row in sorted(rows):
+            lo, hi, _ = row
+            if lo == hi:
+                raise ValueError(f"loop at vertex {lo}")
+            if lo < 0:
+                raise ValueError("negative vertex id")
+            if hi >= n:
+                raise ValueError(f"edge {_ends(row)} uses a vertex id >= n={n}")
+            if table and table[-1][:2] == row[:2]:
+                raise ValueError(f"more than one edge for pair {row[:2]}")
+            table.append(row)
+        return cls._from_table(n, tuple(table))
 
     @cached_property
     def cycle_basis(self) -> FundamentalCycleBasis:
@@ -189,50 +136,6 @@ class MixedGraph:
         """Neighbors in the underlying graph, ascending."""
         return tuple(w for w, _ in self._steps[u])
 
-    def digon_neighbors(self, u: int) -> tuple[int, ...]:
-        return tuple(w for w, code in self._steps[u] if code == 0)
-
-    def out_neighbors(self, u: int) -> tuple[int, ...]:
-        """Heads of arcs leaving u."""
-        return tuple(w for w, code in self._steps[u] if code == 1)
-
-    def in_neighbors(self, u: int) -> tuple[int, ...]:
-        """Tails of arcs entering u."""
-        return tuple(w for w, code in self._steps[u] if code == -1)
-
-
-@dataclass(frozen=True)
-class Walk:
-    """A vertex sequence.  Adjacency of consecutive vertices is checked by the
-    operations that evaluate a walk against a concrete graph."""
-
-    vertices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        if len(self.vertices) < 1:
-            raise ValueError("a walk has at least one vertex")
-
-    @property
-    def is_closed(self) -> bool:
-        return self.vertices[0] == self.vertices[-1]
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.vertices) - 1
-
-    def steps(self) -> Iterator[tuple[int, int]]:
-        return zip(self.vertices, self.vertices[1:])
-
-    def reversed(self) -> "Walk":
-        return Walk(tuple(reversed(self.vertices)))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.vertices)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
 
 class DegreeProfile(NamedTuple):
     degrees: tuple[int, ...]
@@ -250,18 +153,17 @@ class FundamentalCycleBasis:
     ``depths[v]`` edges and arc balance ``balances[v]``, the forward minus
     the backward arcs along it.
 
-    ``non_tree`` holds the non-tree edges in ``sorted_edges`` order, built
-    on first access from their table rows, and the i-th fundamental cycle is
-    the one ``non_tree[i]`` closes.  Its arc balance ``cycle_balances[i]``
-    and length parity ``cycle_parities[i]`` are recorded eagerly: the two
-    tree paths cancel up to the branch point, so across a non-tree edge
-    ``u -> v`` the balance is ``balances[u] + pair_code(u, v) - balances[v]``
-    and the parity is ``(depths[u] + depths[v] + 1) % 2``.
+    The i-th fundamental cycle is the one the i-th non-tree row of the edge
+    table closes.  Its arc balance ``cycle_balances[i]`` and length parity
+    ``cycle_parities[i]`` are recorded eagerly: the two tree paths cancel up
+    to the branch point, so across a non-tree edge ``u -> v`` the balance is
+    ``balances[u] + pair_code(u, v) - balances[v]`` and the parity is
+    ``(depths[u] + depths[v] + 1) % 2``.
 
-    The closed walks are built only on demand: :meth:`cycle` builds one,
-    :attr:`cycles` all of them, once.  Each starts at the deepest common
-    tree ancestor of its non-tree edge, runs down the tree to the edge's
-    stored tail, crosses the edge, and climbs back.
+    The closed walks are built only on demand, one per :meth:`cycle` call.
+    Each starts at the deepest common tree ancestor of its non-tree edge,
+    runs down the tree to the edge's stored tail, crosses the edge, and
+    climbs back.
     """
 
     _closing: tuple[_Row, ...]
@@ -272,18 +174,9 @@ class FundamentalCycleBasis:
     cycle_balances: tuple[int, ...]
     cycle_parities: tuple[int, ...]
 
-    @cached_property
-    def non_tree(self) -> tuple[Edge, ...]:
-        return tuple(map(_edge, self._closing))
-
-    def cycle(self, i: int) -> Walk:
-        """The closed walk of the i-th fundamental cycle."""
+    def cycle(self, i: int) -> tuple[int, ...]:
+        """The closed walk of the i-th fundamental cycle, as its vertices."""
         return _fundamental_walk(*_ends(self._closing[i]), self.parents, self.depths)
-
-    @cached_property
-    def cycles(self) -> tuple[Walk, ...]:
-        """Every fundamental cycle's closed walk, in ``non_tree`` order."""
-        return tuple(map(self.cycle, range(len(self._closing))))
 
 
 class SimpleCycle(NamedTuple):
@@ -293,10 +186,6 @@ class SimpleCycle(NamedTuple):
     vertices: tuple[int, ...]
     mask: int
     balance: int
-
-    @property
-    def walk(self) -> Walk:
-        return Walk(self.vertices)
 
 
 # One line of the format: a vertex count, an edge ``u -- v`` or ``u -> v``,
@@ -436,7 +325,7 @@ def fundamental_cycles(graph: MixedGraph) -> FundamentalCycleBasis:
 
 def _fundamental_walk(
     u: int, v: int, parents: tuple[int | None, ...], depths: tuple[int, ...]
-) -> Walk:
+) -> tuple[int, ...]:
     up_a = [u]
     up_b = [v]
     x, y = u, v
@@ -452,8 +341,7 @@ def _fundamental_walk(
         up_a.append(x)
         up_b.append(y)
     # branch point .. u, the non-tree edge u -> v, then v .. branch point
-    path = list(reversed(up_a)) + up_b
-    return Walk(tuple(path))
+    return (*reversed(up_a), *up_b)
 
 
 def enumerate_simple_cycles(graph: MixedGraph, max_len: int) -> tuple[SimpleCycle, ...]:

@@ -46,7 +46,6 @@ from .errors import NotMonographError, NumericalError
 from .graphs import (
     _DIGIT_STEP,
     MixedGraph,
-    Walk,
     _ends,
     connected_components,
     degree_profile,
@@ -68,7 +67,6 @@ __all__ = [
     "MonographKind",
     "StoreDescriptor",
     "MonographCertificate",
-    "MonographPartition",
     "AttachDirection",
     "Attachment",
     "RadiusReport",
@@ -172,13 +170,13 @@ class MonographCertificate:
 
     On success ``potential`` holds one phase per vertex, the walk value of
     the spanning-forest path from the component root (signed value for the
-    second kind).  On failure ``violation`` is a fundamental cycle whose
-    value is not 1.
+    second kind).  On failure ``violation`` is the closed walk, as its
+    vertices, of a fundamental cycle whose value is not 1.
     """
 
     verdict: bool
     potential: tuple[Phase, ...] | None
-    violation: Walk | None
+    violation: tuple[int, ...] | None
 
 
 def is_monograph(graph: MixedGraph, alpha: Phase, kind: MonographKind) -> MonographCertificate:
@@ -225,38 +223,36 @@ def _require(
     if not cert.verdict:
         assert cert.violation is not None
         raise NotMonographError(
-            f"{requirement}cycle {list(cert.violation.vertices)} has nontrivial value"
+            f"{requirement}cycle {list(cert.violation)} has nontrivial value"
         )
     assert cert.potential is not None
     return cert.potential, keys
 
 
-@dataclass(frozen=True, eq=False)
-class MonographPartition:
-    """Vertex classes keyed by potential value.
+def monograph_partition(
+    graph: MixedGraph, alpha: Phase, kind: MonographKind
+) -> dict[Phase, tuple[int, ...]]:
+    """Vertex classes keyed by potential value, members ascending; raises
+    NotMonographError when there is no potential.
 
     For the first kind a digon joins vertices of equal potential and an arc
     multiplies the potential by alpha tail to head.  For the second kind the
     signed potential flips under a digon and an arc multiplies it by minus
     alpha; the classes then read off as plus or minus a power of alpha.
     """
-
-    classes: dict[Phase, tuple[int, ...]]
-
-
-def monograph_partition(
-    graph: MixedGraph, alpha: Phase, kind: MonographKind
-) -> MonographPartition:
-    """Group vertices by potential; raises NotMonographError when there is none."""
     potential, keys = _require(
         graph, alpha, kind, f"graph is not a monograph of kind {kind.value}: "
     )
     groups: dict[int, list[int]] = {}
     for v, key in enumerate(keys):
         groups.setdefault(key, []).append(v)
-    classes = {potential[members[0]]: tuple(members) for members in groups.values()}
+    # distinct keys of an angle may stand for one phase (angle 0 makes them
+    # all 1), so the groups of equal potential merge
+    classes: dict[Phase, list[int]] = {}
+    for members in groups.values():
+        classes.setdefault(potential[members[0]], []).extend(members)
     _check_partition_edges(graph, alpha, kind)
-    return MonographPartition(classes)
+    return {p: tuple(sorted(members)) for p, members in classes.items()}
 
 
 def _check_partition_edges(graph: MixedGraph, alpha: Phase, kind: MonographKind) -> None:
@@ -267,7 +263,7 @@ def _check_partition_edges(graph: MixedGraph, alpha: Phase, kind: MonographKind)
     b_lo + s - b_hi (s the pair code of the step from lo to hi) and the
     length parity of d_lo + 1 - d_hi, and must be trivial (a walk and its
     reverse are trivial together).  An error names the first failing edge in
-    ``sorted_edges`` order."""
+    table order."""
     basis = graph.cycle_basis
     balances, depths = basis.balances, basis.depths
     rows = graph._table

@@ -3,9 +3,9 @@
 One type, :class:`Phase`, stands for every unit number in the package: the
 alpha that weights arcs, walk and cycle values, and vertex potentials.  A
 rotation of ``t`` turns stands for ``exp(2*pi*i*t)``.  Rational rotations
-(roots of unity) are kept as exact ``Fraction`` values so products, powers,
-conjugates and orders carry no floating point error; an arbitrary angle is
-kept as a float rotation and compared with tolerance ``1e-9``.  Floats are
+(roots of unity) are kept as exact ``Fraction`` values so walk values and
+orders carry no floating point error; an arbitrary angle is kept as a float
+rotation and compared with tolerance ``1e-9``.  Floats are
 never promoted back to rationals, so an angle-built phase is treated as
 having infinite multiplicative order even if the float happens to look
 rational.
@@ -23,10 +23,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple, Sequence, Union
 
 from .errors import InvalidWalkError
-from .graphs import MixedGraph, Walk
+from .graphs import MixedGraph
 
 __all__ = [
     "Phase",
@@ -102,7 +102,7 @@ class Phase:
     Arithmetic stays exact while the rotation is a Fraction; mixing with a
     float rotation demotes the result to float.  Equality and hashing are by
     numeric rotation value (a Fraction equals the float of the same value);
-    use :meth:`isclose` for tolerant comparison of float phases.
+    :meth:`is_identity` compares a float phase with 1 within a tolerance.
 
     ``str(p)`` is the alpha spec (``root:k/n`` or ``angle:<radians>``) that
     :func:`make_alpha` reads back; :attr:`turns` is the bare rotation that
@@ -143,23 +143,15 @@ class Phase:
             return self.rotation.denominator if self.rotation != 0 else 1
         return math.inf
 
-    def __mul__(self, other: "Phase") -> "Phase":
-        return Phase(self.rotation + other.rotation)
-
-    def __pow__(self, k: int) -> "Phase":
-        return Phase(self.rotation * k)
-
-    def conjugate(self) -> "Phase":
-        return Phase(-self.rotation)
-
     def walk_value(self, balance: int, edges: int, signed: bool) -> "Phase":
         """Value, with this phase as alpha, of a walk with the given arc
         balance and edge count: ``alpha ** balance``, times (-1) per edge
         when ``signed``.
 
-        One phase is built.  The sign adds half a turn to the reduced power,
-        as the product of ``self ** balance`` and ``Phase.minus_one() **
-        edges`` adds them, so a float rotation matches that product exactly."""
+        One phase is built.  The sign adds half a turn to the power reduced
+        mod 1, as multiplying the two reduced phases ``alpha ** balance`` and
+        ``(-1) ** edges`` adds them, so a float rotation matches that product
+        exactly."""
         rotation = self.rotation * balance
         if signed:
             rotation = rotation % 1 + (_HALF if edges % 2 else 0)
@@ -169,19 +161,10 @@ class Phase:
     def value(self) -> complex:
         return complex(rotation_cos(self.rotation), rotation_sin(self.rotation))
 
-    @property
-    def real(self) -> float:
-        return rotation_cos(self.rotation)
-
     def is_identity(self, tol: float = ROTATION_TOL) -> bool:
         if self.is_exact:
             return self.rotation == 0
         return _cyclic_distance(float(self.rotation)) <= tol
-
-    def isclose(self, other: "Phase", tol: float = ROTATION_TOL) -> bool:
-        if self.is_exact and other.is_exact:
-            return self.rotation == other.rotation
-        return _cyclic_distance(float(self.rotation) - float(other.rotation)) <= tol
 
     @property
     def turns(self) -> str:
@@ -243,24 +226,28 @@ class ArcBalance(NamedTuple):
     edge_count: int
 
 
-def arc_balance(graph: MixedGraph, walk: Walk) -> ArcBalance:
-    """Forward arcs minus backward arcs along the walk, plus the step count.
+def arc_balance(graph: MixedGraph, walk: Sequence[int]) -> ArcBalance:
+    """Forward arcs minus backward arcs along the walk, a sequence of
+    vertices, plus the step count.
 
-    Raises InvalidWalkError when a step is not an edge of the graph.
+    Raises InvalidWalkError when the walk is empty or a step is not an edge
+    of the graph.
     """
-    verts = walk.vertices
+    verts = tuple(walk)
+    if not verts:
+        raise InvalidWalkError("a walk has at least one vertex")
     if any(v < 0 or v >= graph.n for v in verts):
         raise InvalidWalkError(f"walk {verts} leaves the vertex range of n={graph.n}")
     balance = 0
-    for a, b in walk.steps():
+    for a, b in zip(verts, verts[1:]):
         code = graph.pair_code(a, b)
         if code is None:
             raise InvalidWalkError(f"walk step ({a}, {b}) is not an edge")
         balance += code
-    return ArcBalance(balance, walk.edge_count)
+    return ArcBalance(balance, len(verts) - 1)
 
 
-def walk_value_h(graph: MixedGraph, alpha: Phase, walk: Walk) -> Phase:
+def walk_value_h(graph: MixedGraph, alpha: Phase, walk: Sequence[int]) -> Phase:
     """Product of matrix entries along the walk; equals alpha**balance.
 
     The paper's h value of a walk, whose triviality on every cycle defines a
@@ -269,7 +256,7 @@ def walk_value_h(graph: MixedGraph, alpha: Phase, walk: Walk) -> Phase:
     return alpha.walk_value(*arc_balance(graph, walk), signed=False)
 
 
-def walk_value_g(graph: MixedGraph, alpha: Phase, walk: Walk) -> Phase:
+def walk_value_g(graph: MixedGraph, alpha: Phase, walk: Sequence[int]) -> Phase:
     """The signed walk value: (-1) per edge times the plain walk value.
 
     The paper's g value of a walk, whose triviality on every cycle defines a

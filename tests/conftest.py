@@ -73,6 +73,28 @@ def numeric_char_poly(g: MixedGraph, alpha: Phase) -> tuple[float, ...]:
     return char_poly(matrix, eigen_decomposition(matrix).values)
 
 
+def edge_triples(graph: MixedGraph) -> list[tuple[int, int, str]]:
+    """The graph's edges as ``(u, v, kind)`` triples in vertex-pair order,
+    read through ``neighbors`` and ``pair_code``: a digon with ``u < v``, an
+    arc from ``u`` to ``v``."""
+    triples = []
+    for u in range(graph.n):
+        for w in graph.neighbors(u):
+            if w > u:
+                code = graph.pair_code(u, w)
+                if code == 0:
+                    triples.append((u, w, "digon"))
+                else:
+                    triples.append((u, w, "arc") if code == 1 else (w, u, "arc"))
+    return triples
+
+
+def from_triples(n: int, edges: list[tuple[int, int, str]]) -> MixedGraph:
+    """``MixedGraph.from_edges`` over ``(u, v, kind)`` triples."""
+    digons = [(u, v) for u, v, kind in edges if kind == "digon"]
+    return MixedGraph.from_edges(n, digons, [(u, v) for u, v, kind in edges if kind == "arc"])
+
+
 def complete_mixed(n: int, rng: random.Random) -> MixedGraph:
     """K_n with every pair given a random edge kind."""
     digons: list[tuple[int, int]] = []
@@ -129,12 +151,10 @@ def random_connected_mixed_graph(
     tree = random_mixed_tree(rng, n)
     digons: list[tuple[int, int]] = []
     arcs: list[tuple[int, int]] = []
-    taken = {e.pair for e in tree.edges}
-    for e in tree.edges:
-        if e.kind.value == "digon":
-            digons.append((e.u, e.v))
-        else:
-            arcs.append((e.u, e.v))
+    taken = set()
+    for u, v, kind in edge_triples(tree):
+        taken.add((min(u, v), max(u, v)))
+        (digons if kind == "digon" else arcs).append((u, v))
     for u in range(n):
         for v in range(u + 1, n):
             if (u, v) in taken or rng.random() >= extra_prob:
@@ -194,9 +214,11 @@ def reference_pair_residual(graph: MixedGraph, alpha: Phase, value: float, x) ->
     ac = a.conjugate()
     worst = 0.0
     for u in range(graph.n):
-        rhs = sum(x[v] for v in graph.digon_neighbors(u))
-        rhs += a * sum(x[v] for v in graph.out_neighbors(u))
-        rhs += ac * sum(x[v] for v in graph.in_neighbors(u))
+        # neighbour sums by the pair code of the step: digon, with the arc, against it
+        sums = {0: 0, 1: 0, -1: 0}
+        for v in graph.neighbors(u):
+            sums[graph.pair_code(u, v)] += x[v]
+        rhs = sums[0] + a * sums[1] + ac * sums[-1]
         worst = max(worst, abs(value * x[u] - rhs))
     return float(worst)
 
@@ -236,15 +258,15 @@ def reference_term_profile(graph: MixedGraph) -> tuple[dict, ...]:
     """
     n = graph.n
     buckets: list[list[tuple[int, int, int | None]]] = [[] for _ in range(n)]
-    for e in graph.sorted_edges:
-        u, v = e.pair
+    for u, v, _ in edge_triples(graph):
+        u, v = min(u, v), max(u, v)
         buckets[u].append((1 << u | 1 << v, 2, None))
     if n >= 3:
         for c in enumerate_simple_cycles(graph, n):
-            walk = c.walk
-            mask = sum(1 << v for v in walk.vertices[:-1])
+            walk = c.vertices
+            mask = sum(1 << v for v in walk[:-1])
             balance = arc_balance(graph, walk).balance
-            buckets[walk.vertices[0]].append((mask, len(walk) - 1, balance))
+            buckets[walk[0]].append((mask, len(walk) - 1, balance))
     prof: list[defaultdict] = [defaultdict(int) for _ in range(n + 1)]
 
     def rec(v: int, covered: int, items: tuple[tuple[int, int | None], ...]) -> None:

@@ -25,7 +25,6 @@ from hermix import (
     ALPHA_ONE,
     AttachDirection,
     Attachment,
-    Edge,
     MixedGraph,
     MonographKind,
     build_hermitian,
@@ -161,7 +160,7 @@ def test_3_detection_equivalence(capsys, small_sweep):
     with criterion(capsys, 3, "detection-equivalence") as c:
         checked = disagreements = 0
         for g in small_sweep:
-            cycles = [c.walk for c in enumerate_simple_cycles(g, max(3, g.n))] if g.n >= 3 else ()
+            cycles = [c.vertices for c in enumerate_simple_cycles(g, max(3, g.n))] if g.n >= 3 else ()
             for a in TRIO:
                 for kind, value in (
                     (MonographKind.FIRST, walk_value_h),
@@ -239,12 +238,12 @@ def _random_oriented_bipartite(rng: random.Random) -> MixedGraph:
     sides = [rng.randrange(2) for _ in range(n)]
     if len(set(sides)) < 2:
         sides[0], sides[-1] = 0, 1
-    edges = set()
+    arcs = []
     for u in range(n):
         for v in range(u + 1, n):
             if sides[u] != sides[v] and rng.random() < 0.5:
-                edges.add(Edge.arc(u, v) if rng.random() < 0.5 else Edge.arc(v, u))
-    return MixedGraph(n, frozenset(edges))
+                arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+    return MixedGraph.from_edges(n, arcs=arcs)
 
 
 def test_7_gamma_omega_soundness(capsys, small_sweep):
@@ -269,12 +268,12 @@ def test_7_gamma_omega_soundness(capsys, small_sweep):
 
 
 def _random_undirected_connected(rng: random.Random, n: int) -> MixedGraph:
-    edges = {Edge.digon(rng.randrange(v), v) for v in range(1, n)}
+    digons = [(rng.randrange(v), v) for v in range(1, n)]
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < 0.3:
-                edges.add(Edge.digon(u, v))
-    return MixedGraph(n, frozenset(edges))
+                digons.append((u, v))
+    return MixedGraph.from_edges(n, digons)
 
 
 def test_8_extension_closure(capsys):
@@ -306,8 +305,8 @@ def test_8_extension_closure(capsys):
 def test_9_pinned_fixtures(capsys):
     """Hand-checked values for the directed triangle and the single arc."""
     with criterion(capsys, 9, "pinned-fixtures") as c:
-        dc3 = MixedGraph(3, frozenset({Edge.arc(0, 1), Edge.arc(1, 2), Edge.arc(2, 0)}))
-        t2 = MixedGraph(2, frozenset({Edge.arc(0, 1)}))
+        dc3 = MixedGraph.from_edges(3, arcs=[(0, 1), (1, 2), (2, 0)])
+        t2 = MixedGraph.from_edges(2, arcs=[(0, 1)])
         expectations = [
             (dc3, ALPHA_GAMMA, (2.0, -1.0, -1.0), (0.0, -3.0, -2.0)),
             (dc3, ALPHA_I, (math.sqrt(3.0), 0.0, -math.sqrt(3.0)), (0.0, -3.0, 0.0)),

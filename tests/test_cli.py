@@ -161,6 +161,18 @@ class TestPartition:
         data = run_json(capsys, ["partition", "--alpha", "omega", "--kind", "2", dc3_file])
         assert data["classes"] == {"0": [0], "2/3": [1], "1/3": [2]}
 
+    def test_angle_classes_of_equal_potential_merge(self, capsys, tmp_path):
+        # the path's tree balances 0, 1, 2 are distinct keys; under angle 0
+        # all three potentials are 1, under angle pi the ends are
+        path = tmp_path / "path.mg"
+        path.write_text("3\n0 -> 1\n1 -> 2\n")
+        for angle, classes in (
+            ("angle:0", {"0": [0, 1, 2]}),
+            (f"angle:{math.pi!r}", {"0": [0, 2], "0.5": [1]}),
+        ):
+            data = run_json(capsys, ["partition", "--alpha", angle, "--kind", "1", str(path)])
+            assert data["classes"] == classes
+
     def test_not_monograph_is_input_error(self, capsys, dc3_file):
         code = main(["partition", "--alpha", "i", "--kind", "1", dc3_file])
         assert code == 2

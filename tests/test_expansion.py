@@ -15,11 +15,8 @@ from hermix import (
     ALPHA_I,
     ALPHA_OMEGA,
     ALPHA_ONE,
-    Edge,
-    EdgeKind,
     MixedGraph,
     ScaleLimitError,
-    Walk,
     arc_balance,
     build_hermitian,
     char_poly_expansion,
@@ -34,6 +31,8 @@ from hermix.expansion import _cycle_counts, _term_profile
 
 from conftest import (
     complete_mixed,
+    edge_triples,
+    from_triples,
     numeric_char_poly,
     random_connected_mixed_graph,
     random_mixed_graph,
@@ -85,10 +84,10 @@ class TestEnumerateElementary:
     def test_k_out_of_range(self, uc3):
         # one entry per cover size 0..n and none beyond
         assert len(_term_profile(uc3)) == uc3.n + 1
-        assert _term_profile(MixedGraph(0, frozenset())) == ({(0, ()): 1},)
+        assert _term_profile(MixedGraph.from_edges(0)) == ({(0, ()): 1},)
 
     def test_scale_guard(self):
-        big = MixedGraph(13, frozenset())
+        big = MixedGraph.from_edges(13)
         with pytest.raises(ScaleLimitError):
             char_poly_expansion(big, ALPHA_I)
 
@@ -110,7 +109,7 @@ def _brute_force_profile(g: MixedGraph) -> tuple[dict, ...]:
     subset has degree 1 or 2, so it has at most n edges.  A cycle is walked
     from its lowest vertex towards the smaller of that vertex's two
     neighbors, the traversal ``enumerate_simple_cycles`` reports."""
-    edges = [e.pair for e in g.sorted_edges]
+    edges = [(min(u, v), max(u, v)) for u, v, _ in edge_triples(g)]
     prof: list[Counter] = [Counter() for _ in range(g.n + 1)]
     for size in range(min(len(edges), g.n) + 1):
         for subset in itertools.combinations(edges, size):
@@ -155,7 +154,7 @@ def _elementary_components(
     return comps
 
 
-def _cycle_walk(adj: dict[int, list[int]]) -> Walk:
+def _cycle_walk(adj: dict[int, list[int]]) -> tuple[int, ...]:
     """The closed walk of a cycle component: from its lowest vertex to the
     smaller of that vertex's neighbors, then on round the cycle."""
     start = min(adj)
@@ -164,18 +163,18 @@ def _cycle_walk(adj: dict[int, list[int]]) -> Walk:
     while cur != start:
         seq.append(cur)
         prev, cur = cur, next(w for w in adj[cur] if w != prev)
-    return Walk((*seq, start))
+    return (*seq, start)
 
 
 def _connected_with_cycles(rng: random.Random, n: int, cycles: int) -> MixedGraph:
     """A random mixed spanning tree plus ``cycles`` extra random edges."""
     tree = random_mixed_tree(rng, n)
-    taken = {e.pair for e in tree.edges}
+    edges = edge_triples(tree)
+    taken = {(min(u, v), max(u, v)) for u, v, _ in edges}
     free = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in taken]
-    extra = []
     for u, v in rng.sample(free, cycles):
-        extra.append(rng.choice([Edge.digon(u, v), Edge.arc(u, v), Edge.arc(v, u)]))
-    return MixedGraph(n, tree.edges | frozenset(extra))
+        edges.append(rng.choice([(u, v, "digon"), (u, v, "arc"), (v, u, "arc")]))
+    return from_triples(n, edges)
 
 
 def _cycle_tallies(g: MixedGraph) -> Counter:
@@ -205,7 +204,7 @@ def _connected_with_rank(rng: random.Random, n: int, cycles: int) -> MixedGraph:
     odds = cycles / ((n - 1) * (n - 2) // 2)
     while True:
         g = random_connected_mixed_graph(rng, n, extra_prob=odds)
-        if len(g.edges) - n + 1 == cycles:
+        if len(edge_triples(g)) - n + 1 == cycles:
             return g
 
 
@@ -240,7 +239,7 @@ class TestCharPolyExpansion:
             g = random_mixed_graph(rng, rng.randrange(2, 7))
             for alpha in (ALPHA_I, make_alpha("angle:1.0")):
                 poly = char_poly_expansion(g, alpha)
-                assert poly[1] == pytest.approx(-float(len(g.edges)))
+                assert poly[1] == pytest.approx(-float(len(edge_triples(g))))
 
     def test_dc3_fixed_polys(self, dc3):
         assert np.allclose(char_poly_expansion(dc3, ALPHA_GAMMA), [0.0, -3.0, -2.0])
@@ -274,7 +273,7 @@ class TestCharPolyExpansion:
         rng = random.Random(83 + n)
         for _ in range(2):
             g = _connected_with_cycles(rng, n, cycles)
-            assert len(g.edges) - n + 1 == cycles
+            assert len(edge_triples(g)) - n + 1 == cycles
             for alpha in (make_alpha("root:2/5"), make_alpha("angle:0.7")):
                 combinatorial = char_poly_expansion(g, alpha)
                 numeric = numeric_char_poly(g, alpha)
@@ -286,17 +285,15 @@ class TestCharPolyExpansion:
         for _ in range(10):
             g = random_mixed_graph(rng, rng.randrange(1, 7))
             mixed = char_poly_expansion(g, ALPHA_ONE)
-            skeleton = MixedGraph.from_edges(
-                g.n, [e.pair for e in g.edges], []
-            )
+            skeleton = MixedGraph.from_edges(g.n, [(u, v) for u, v, _ in edge_triples(g)])
             plain = char_poly_expansion(skeleton, ALPHA_ONE)
             assert np.allclose(mixed, plain)
 
 
 def _disjoint_union(g: MixedGraph, h: MixedGraph) -> MixedGraph:
     """g on vertices 0..g.n-1 beside h shifted to g.n..g.n+h.n-1."""
-    moved = {Edge(e.u + g.n, e.v + g.n, e.kind) for e in h.edges}
-    return MixedGraph(g.n + h.n, g.edges | moved)
+    moved = [(u + g.n, v + g.n, kind) for u, v, kind in edge_triples(h)]
+    return from_triples(g.n + h.n, edge_triples(g) + moved)
 
 
 def _profile_graphs() -> list[MixedGraph]:
@@ -310,7 +307,7 @@ def _profile_graphs() -> list[MixedGraph]:
     for n in (6, 8, 10):
         graphs.append(random_mixed_graph(rng, n, edge_prob=0.2))
     graphs.append(_disjoint_union(complete_mixed(4, rng), complete_mixed(5, rng)))
-    graphs.append(_disjoint_union(MixedGraph(2, frozenset()), complete_mixed(5, rng)))
+    graphs.append(_disjoint_union(MixedGraph.from_edges(2), complete_mixed(5, rng)))
     graphs.append(complete_mixed(6, rng))
     graphs += [_connected_with_cycles(rng, n, n + 2) for n in (9, 10) * 10]
     return graphs
@@ -349,7 +346,7 @@ class TestTermProfile:
     def test_cycle_records_match_their_walks(self):
         for g in _profile_graphs()[-25:]:
             for c in enumerate_simple_cycles(g, g.n):
-                assert c.balance == arc_balance(g, c.walk).balance
+                assert c.balance == arc_balance(g, c.vertices).balance
                 assert c.mask == sum(1 << v for v in set(c.vertices))
 
 

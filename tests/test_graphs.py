@@ -17,11 +17,9 @@ import hermix.graphs
 from hermix import (
     ALPHA_GAMMA,
     ALPHA_I,
-    Edge,
-    EdgeKind,
     GraphFormatError,
+    InvalidWalkError,
     MixedGraph,
-    Walk,
     arc_balance,
     connected_components,
     degree_profile,
@@ -34,40 +32,64 @@ from hermix import (
     serialize_graph,
 )
 
-from conftest import complete_mixed, random_mixed_graph
+from conftest import complete_mixed, edge_triples, from_triples, random_mixed_graph
 
 
 class TestEdge:
+    """Edges as ``from_edges`` takes them: digon pairs and arc pairs."""
+
     def test_digon_canonicalizes(self):
-        assert Edge.digon(3, 1) == Edge.digon(1, 3)
-        assert Edge.digon(3, 1).u == 1
+        g = MixedGraph.from_edges(4, [(3, 1)])
+        assert g == MixedGraph.from_edges(4, [(1, 3)])
+        assert edge_triples(g) == [(1, 3, "digon")]
+        # the same digon given both ways is one edge
+        assert MixedGraph.from_edges(4, [(0, 1), (1, 0)]) == MixedGraph.from_edges(4, [(0, 1)])
 
     def test_arc_keeps_direction(self):
-        e = Edge.arc(3, 1)
-        assert (e.u, e.v) == (3, 1)
-        assert e.pair == (1, 3)
+        g = MixedGraph.from_edges(4, arcs=[(3, 1)])
+        assert edge_triples(g) == [(3, 1, "arc")]
+        assert (g.pair_code(3, 1), g.pair_code(1, 3)) == (1, -1)
+        assert serialize_graph(g) == "4\n3 -> 1\n"
 
     def test_loop_rejected(self):
-        with pytest.raises(ValueError):
-            Edge.arc(2, 2)
-        with pytest.raises(ValueError):
-            Edge.digon(2, 2)
+        with pytest.raises(ValueError, match="^loop at vertex 2$"):
+            MixedGraph.from_edges(3, arcs=[(2, 2)])
+        with pytest.raises(ValueError, match="^loop at vertex 2$"):
+            MixedGraph.from_edges(3, [(2, 2)])
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Edge.arc(-1, 0)
+        with pytest.raises(ValueError, match="^negative vertex id$"):
+            MixedGraph.from_edges(2, arcs=[(-1, 0)])
+        with pytest.raises(ValueError, match="^negative vertex id$"):
+            MixedGraph.from_edges(2, [(1, -3)])
 
 
 class TestMixedGraph:
     def test_pair_uniqueness_enforced(self):
-        with pytest.raises(ValueError):
-            MixedGraph(3, frozenset({Edge.arc(0, 1), Edge.arc(1, 0)}))
-        with pytest.raises(ValueError):
-            MixedGraph(3, frozenset({Edge.arc(0, 1), Edge.digon(0, 1)}))
+        with pytest.raises(ValueError, match=r"^more than one edge for pair \(0, 1\)$"):
+            MixedGraph.from_edges(3, arcs=[(0, 1), (1, 0)])
+        with pytest.raises(ValueError, match=r"^more than one edge for pair \(0, 1\)$"):
+            MixedGraph.from_edges(3, [(1, 0)], [(0, 1)])
+
+    def test_identical_edge_counts_once(self):
+        once = MixedGraph.from_edges(3, [(1, 2)], [(0, 1)])
+        assert MixedGraph.from_edges(3, [(1, 2), (2, 1), (1, 2)], [(0, 1), (0, 1)]) == once
 
     def test_vertex_range_enforced(self):
-        with pytest.raises(ValueError):
-            MixedGraph(2, frozenset({Edge.arc(0, 2)}))
+        with pytest.raises(ValueError, match=r"^edge \(0, 2\) uses a vertex id >= n=2$"):
+            MixedGraph.from_edges(2, arcs=[(0, 2)])
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+            MixedGraph.from_edges(-1)
+
+    def test_errors_name_the_lowest_row(self):
+        # rows sort by pair, so the out-of-range (0, 5) comes before the
+        # later pairs, and before the loop at 3
+        with pytest.raises(ValueError, match=r"^edge \(0, 5\) uses a vertex id >= n=4$"):
+            MixedGraph.from_edges(4, arcs=[(0, 5), (6, 1)], digons=[(2, 7)])
+        with pytest.raises(ValueError, match=r"^edge \(0, 5\) uses a vertex id >= n=4$"):
+            MixedGraph.from_edges(4, arcs=[(3, 3), (0, 5)])
+        with pytest.raises(ValueError, match=r"^edge \(6, 1\) uses a vertex id >= n=4$"):
+            MixedGraph.from_edges(4, arcs=[(6, 1)], digons=[(2, 7)])
 
     def test_pair_code(self, p3):
         assert p3.pair_code(0, 1) == 1
@@ -76,11 +98,12 @@ class TestMixedGraph:
         assert p3.pair_code(2, 1) == 0
         assert p3.pair_code(0, 2) is None
 
-    def test_neighbor_views(self, ac4):
+    def test_neighbor_views(self, ac4, p3):
         assert ac4.neighbors(0) == (1, 3)
-        assert ac4.out_neighbors(0) == (1, 3)
-        assert ac4.in_neighbors(1) == (0, 2)
-        assert ac4.digon_neighbors(0) == ()
+        assert [ac4.pair_code(0, w) for w in ac4.neighbors(0)] == [1, 1]
+        assert ac4.neighbors(1) == (0, 2)
+        assert [ac4.pair_code(1, w) for w in ac4.neighbors(1)] == [-1, -1]
+        assert [p3.pair_code(1, w) for w in p3.neighbors(1)] == [-1, 0]
 
     def test_degree_profile(self, p3, uc3):
         prof = degree_profile(p3)
@@ -154,7 +177,6 @@ class TestParser:
                 continue
             g = parse_graph(text)
             assert g == want and hash(g) == hash(want), text
-            assert g.sorted_edges == want.sorted_edges
         # both outcomes are well represented
         assert 600 < errors < 2400
 
@@ -176,8 +198,8 @@ _REFERENCE_EDGE = re.compile(r"^([0-9]+)\s*(--|->)\s*([0-9]+)$")
 
 
 def reference_parse(text: str) -> MixedGraph:
-    """The line-at-a-time parser that built a frozenset of edges for the
-    public constructor, with digits read as ASCII only."""
+    """The line-at-a-time parser that collected the edges for
+    ``MixedGraph.from_edges``, with digits read as ASCII only."""
     n = None
     edges = []
     seen = set()
@@ -202,10 +224,10 @@ def reference_parse(text: str) -> MixedGraph:
         if key in seen:
             raise GraphFormatError(f"line {idx}: second edge for pair {key}")
         seen.add(key)
-        edges.append(Edge.digon(u, v) if m.group(2) == "--" else Edge.arc(u, v))
+        edges.append((u, v, "digon" if m.group(2) == "--" else "arc"))
     if n is None:
         raise GraphFormatError("missing vertex count line")
-    return MixedGraph(n, frozenset(edges))
+    return from_triples(n, edges)
 
 
 _SPACES = ["", " ", "  ", "\t", "\u00a0", "\u3000"]
@@ -245,20 +267,21 @@ def decorated_text(rng: random.Random) -> str:
 
 
 class TestWalk:
-    def test_needs_a_vertex(self):
-        with pytest.raises(ValueError):
-            Walk(())
+    """A walk is any sequence of vertices."""
 
-    def test_closed_and_steps(self):
-        w = Walk((0, 1, 2, 0))
-        assert w.is_closed
-        assert w.edge_count == 3
-        assert list(w.steps()) == [(0, 1), (1, 2), (2, 0)]
-        assert w.reversed().vertices == (0, 2, 1, 0)
+    def test_needs_a_vertex(self, dc3):
+        with pytest.raises(InvalidWalkError, match="^a walk has at least one vertex$"):
+            arc_balance(dc3, ())
 
-    def test_single_vertex_closed(self):
-        assert Walk((4,)).is_closed
-        assert Walk((4,)).edge_count == 0
+    def test_closed_and_steps(self, dc3):
+        walk = (0, 1, 2, 0)
+        assert arc_balance(dc3, walk) == (3, 3)
+        assert arc_balance(dc3, walk[::-1]) == (-3, 3)
+        assert arc_balance(dc3, list(walk)) == arc_balance(dc3, walk)
+
+    def test_single_vertex_closed(self, dc3):
+        assert arc_balance(dc3, (2,)) == (0, 0)
+        assert arc_balance(dc3, [2]) == (0, 0)
 
 
 class TestComponents:
@@ -270,32 +293,33 @@ class TestComponents:
 class TestFundamentalCycles:
     def test_dc3_cycle_walk(self, dc3):
         basis = fundamental_cycles(dc3)
-        assert len(basis.cycles) == 1
-        assert basis.cycles[0].vertices == (0, 1, 2, 0)
+        assert len(basis.cycle_balances) == 1
+        assert basis.cycle(0) == (0, 1, 2, 0)
 
     def test_cycle_count_formula(self):
         rng = random.Random(7)
         for _ in range(40):
             g = random_mixed_graph(rng, rng.randrange(1, 8))
-            m = len(g.edges)
+            m = len(edge_triples(g))
             c = len(connected_components(g))
-            assert len(fundamental_cycles(g).cycles) == m - g.n + c
+            assert len(fundamental_cycles(g).cycle_balances) == m - g.n + c
 
     def test_k4_any_mixing_has_three(self):
         rng = random.Random(11)
         for _ in range(5):
             g = complete_mixed(4, rng)
-            assert len(fundamental_cycles(g).cycles) == 3
+            assert len(fundamental_cycles(g).cycle_balances) == 3
 
     def test_cycles_are_valid_closed_walks(self):
         rng = random.Random(3)
         for _ in range(30):
             g = random_mixed_graph(rng, rng.randrange(2, 8))
             basis = fundamental_cycles(g)
-            for walk in basis.cycles:
-                assert walk.is_closed
-                assert len(set(walk.vertices[:-1])) == walk.edge_count
-                for a, b in walk.steps():
+            for i in range(len(basis.cycle_balances)):
+                walk = basis.cycle(i)
+                assert walk[0] == walk[-1]
+                assert len(set(walk[:-1])) == len(walk) - 1
+                for a, b in zip(walk, walk[1:]):
                     assert g.pair_code(a, b) is not None
 
     def test_tree_edge_count(self):
@@ -333,8 +357,8 @@ def union_find_components(g) -> tuple[tuple[int, ...], ...]:
             x = root[x]
         return x
 
-    for e in g.edges:
-        a, b = sorted((find(e.u), find(e.v)))
+    for u, v, _ in edge_triples(g):
+        a, b = sorted((find(u), find(v)))
         root[b] = a
     groups: dict[int, list[int]] = {}
     for v in range(g.n):
@@ -351,22 +375,21 @@ def test_forest_gauge_matches_walks():
         # sparse draws leave graphs disconnected, dense ones connected
         g = random_mixed_graph(rng, n, rng.choice([0.1, 0.2, 0.35, 0.6, 0.9]))
         basis = g.cycle_basis
-        assert len(basis.cycle_balances) == len(basis.cycles)
-        for walk, bal in zip(basis.cycles, basis.cycle_balances):
-            assert bal == arc_balance(g, walk).balance
+        for i, bal in enumerate(basis.cycle_balances):
+            assert bal == arc_balance(g, basis.cycle(i)).balance
         assert len(basis.balances) == g.n
         for v in range(g.n):
             path = [v]
             while basis.parents[path[-1]] is not None:
                 path.append(basis.parents[path[-1]])
             assert path[-1] == basis.roots[v]
-            assert basis.balances[v] == arc_balance(g, Walk(tuple(reversed(path)))).balance
+            assert basis.balances[v] == arc_balance(g, path[::-1]).balance
         assert connected_components(g) == union_find_components(g)
 
 
 def brute_force_simple_cycles(g, max_len: int) -> set[tuple[int, ...]]:
     """Independent enumeration: permutations per vertex subset."""
-    adjacent = {frozenset(e.pair) for e in g.edges}
+    adjacent = {frozenset((u, v)) for u, v, _ in edge_triples(g)}
     found = set()
     for k in range(3, max_len + 1):
         for subset in itertools.combinations(range(g.n), k):
@@ -389,7 +412,7 @@ class TestSimpleCycles:
         g = complete_mixed(4, rng)
         cycles = enumerate_simple_cycles(g, 4)
         assert len(cycles) == 7
-        lengths = sorted(c.walk.edge_count for c in cycles)
+        lengths = sorted(len(c.vertices) - 1 for c in cycles)
         assert lengths == [3, 3, 3, 3, 4, 4, 4]
 
     def test_matches_brute_force(self):
@@ -408,22 +431,23 @@ class TestSimpleCycles:
             enumerate_simple_cycles(uc3, 2)
 
 
-def random_edges(rng: random.Random, n: int, edge_prob: float) -> list[Edge]:
+def random_edges(rng: random.Random, n: int, edge_prob: float) -> list[tuple[int, int, str]]:
     edges = []
     for u, v in itertools.combinations(range(n), 2):
         if rng.random() < edge_prob:
-            edges.append(rng.choice([Edge.digon(u, v), Edge.arc(u, v), Edge.arc(v, u)]))
+            edges.append(rng.choice([(u, v, "digon"), (u, v, "arc"), (v, u, "arc")]))
     return edges
 
 
-def reference_views(n: int, edges: list[Edge]) -> dict:
-    """Pair codes, neighbour lists and the spanning forest as they were built
-    from the frozenset of edges, before graphs kept an edge table."""
+def reference_views(n: int, edges: list[tuple[int, int, str]]) -> dict:
+    """Pair codes, neighbour lists and the spanning forest built straight
+    from ``(u, v, kind)`` triples, as graphs built them before they kept an
+    edge table."""
     codes = {}
-    for e in edges:
-        step = 0 if e.kind is EdgeKind.DIGON else 1
-        codes[e.u, e.v] = step
-        codes[e.v, e.u] = -step
+    for u, v, kind in edges:
+        step = 0 if kind == "digon" else 1
+        codes[u, v] = step
+        codes[v, u] = -step
     neighbors = [[] for _ in range(n)]
     for x, w in sorted(codes):
         neighbors[x].append(w)
@@ -440,50 +464,49 @@ def reference_views(n: int, edges: list[Edge]) -> dict:
                     depths[y] = depths[x] + 1
                     balances[y] = balances[x] + codes[x, y]
                     queue.append(y)
-    sorted_edges = tuple(sorted(edges, key=lambda e: e.pair))
-    non_tree = tuple(e for e in sorted_edges if parents[e.u] != e.v and parents[e.v] != e.u)
+    # in pair order, a digon from its smaller end and an arc from its tail
+    stored = tuple(sorted(
+        ((min(u, v), max(u, v), kind) if kind == "digon" else (u, v, kind) for u, v, kind in edges),
+        key=lambda e: sorted(e[:2]),
+    ))
+    non_tree = tuple((u, v) for u, v, _ in stored if parents[u] != v and parents[v] != u)
     return {
-        "sorted_edges": sorted_edges,
+        "edges": stored,
         "codes": codes,
         "neighbors": tuple(map(tuple, neighbors)),
-        "digon": tuple(tuple(w for w in neighbors[v] if codes[v, w] == 0) for v in range(n)),
-        "out": tuple(tuple(w for w in neighbors[v] if codes[v, w] == 1) for v in range(n)),
-        "in": tuple(tuple(w for w in neighbors[v] if codes[v, w] == -1) for v in range(n)),
         "non_tree": non_tree,
         "parents": tuple(parents),
         "roots": tuple(roots),
         "depths": tuple(depths),
         "balances": tuple(balances),
-        "cycle_balances": tuple(balances[e.u] + codes[e.u, e.v] - balances[e.v] for e in non_tree),
-        "cycle_parities": tuple((depths[e.u] + depths[e.v] + 1) % 2 for e in non_tree),
+        "cycle_balances": tuple(balances[u] + codes[u, v] - balances[v] for u, v in non_tree),
+        "cycle_parities": tuple((depths[u] + depths[v] + 1) % 2 for u, v in non_tree),
     }
 
 
-def assert_matches_frozenset_build(g: MixedGraph, n: int, edges: list[Edge]) -> None:
-    ref = MixedGraph(n, frozenset(edges))
+def assert_matches_reference_build(g: MixedGraph, n: int, edges: list[tuple[int, int, str]]) -> None:
+    """``g`` against ``from_edges`` on the same triples and against the
+    views built from the triples alone."""
+    ref = from_triples(n, edges)
     assert g == ref and hash(g) == hash(ref)
-    assert g.edges == frozenset(edges)
     views = reference_views(n, edges)
-    assert g.sorted_edges == ref.sorted_edges == views["sorted_edges"]
+    assert tuple(edge_triples(g)) == views["edges"]
     for u in range(n):
         for v in range(n):
             assert g.pair_code(u, v) == views["codes"].get((u, v))
         assert g.neighbors(u) == views["neighbors"][u]
-        assert g.digon_neighbors(u) == views["digon"][u]
-        assert g.out_neighbors(u) == views["out"][u]
-        assert g.in_neighbors(u) == views["in"][u]
     assert degree_profile(g).degrees == tuple(map(len, views["neighbors"]))
     basis = g.cycle_basis
-    for name in ("non_tree", "parents", "roots", "depths", "balances",
-                 "cycle_balances", "cycle_parities"):
+    for name in ("parents", "roots", "depths", "balances", "cycle_balances", "cycle_parities"):
         assert getattr(basis, name) == views[name], name
     assert basis == ref.cycle_basis
-    for e, cycle, balance in zip(basis.non_tree, basis.cycles, basis.cycle_balances):
+    for i, (u, v) in enumerate(views["non_tree"]):
         # down the tree to the stored tail, across the edge, back up
-        i = cycle.vertices.index(e.u)
-        assert cycle.vertices[i + 1] == e.v
-        assert cycle.is_closed and len(set(cycle.vertices)) == cycle.edge_count
-        assert arc_balance(g, cycle).balance == balance
+        cycle = basis.cycle(i)
+        j = cycle.index(u)
+        assert cycle[j + 1] == v
+        assert cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1
+        assert arc_balance(g, cycle).balance == basis.cycle_balances[i]
 
 
 def test_table_matches_frozenset_build_small():
@@ -491,8 +514,8 @@ def test_table_matches_frozenset_build_small():
     for trial in range(390):
         n = trial % 13
         edges = random_edges(rng, n, rng.choice([0.1, 0.3, 0.6, 0.9]))
-        g = parse_graph(serialize_graph(MixedGraph(n, frozenset(edges))))
-        assert_matches_frozenset_build(g, n, edges)
+        g = parse_graph(serialize_graph(from_triples(n, edges)))
+        assert_matches_reference_build(g, n, edges)
 
 
 @pytest.mark.parametrize("n", [60, 97, 143, 200])
@@ -501,8 +524,8 @@ def test_table_matches_frozenset_build_large(n):
     # about 1.2 n edges, as on the large benchmark inputs, and a dense draw
     for edge_prob in (2.4 / n, 0.3):
         edges = random_edges(rng, n, edge_prob)
-        g = parse_graph(serialize_graph(MixedGraph(n, frozenset(edges))))
-        assert_matches_frozenset_build(g, n, edges)
+        g = parse_graph(serialize_graph(from_triples(n, edges)))
+        assert_matches_reference_build(g, n, edges)
 
 
 def test_code_decoding_matches_edge_by_edge_build():
@@ -513,10 +536,10 @@ def test_code_decoding_matches_edge_by_edge_build():
             for p, (u, v) in enumerate(pairs):
                 digit = code // 4**p % 4
                 if digit:
-                    edges.append([Edge.digon(u, v), Edge.arc(u, v), Edge.arc(v, u)][digit - 1])
-            g, ref = mixed_graph_from_code(n, code), MixedGraph(n, frozenset(edges))
+                    edges.append([(u, v, "digon"), (u, v, "arc"), (v, u, "arc")][digit - 1])
+            g, ref = mixed_graph_from_code(n, code), from_triples(n, edges)
             assert g == ref and hash(g) == hash(ref)
-            assert g.sorted_edges == ref.sorted_edges
+            assert edge_triples(g) == edges
 
 
 def test_equality_follows_vertex_count_and_table():
@@ -528,18 +551,15 @@ def test_equality_follows_vertex_count_and_table():
 
 
 _LOWEST_OFFENDER = """
-from hermix import (
-    Edge, MixedGraph, MonographKind, NumericalError, make_alpha, mixed_graph_from_code,
-)
+from hermix import MixedGraph, MonographKind, NumericalError, make_alpha, mixed_graph_from_code
 from hermix.monographs import _check_partition_edges
 
-for n, edges in [
-    (4, [Edge.arc(0, 1), Edge.arc(1, 0), Edge.arc(0, 2), Edge.digon(0, 2),
-         Edge.arc(0, 3), Edge.arc(3, 0)]),
-    (4, [Edge.arc(0, 5), Edge.arc(6, 1), Edge.digon(2, 7)]),
+for n, digons, arcs in [
+    (4, [(0, 2)], [(0, 1), (1, 0), (0, 2), (0, 3), (3, 0)]),
+    (4, [(2, 7)], [(0, 5), (6, 1)]),
 ]:
     try:
-        MixedGraph(n, frozenset(edges))
+        MixedGraph.from_edges(n, digons, arcs)
     except ValueError as exc:
         print(exc)
 # not a monograph for i, so more than one edge breaks the rule
@@ -552,8 +572,8 @@ except NumericalError as exc:
 
 
 def test_errors_name_lowest_offender_independent_of_hash_seed():
-    # a frozenset of edges iterates in the string-hash order of the edge
-    # kinds; each error must name the first offender in sorted_edges order
+    # each error must name the first offender in table order, whatever the
+    # hash order of the sets the edges pass through
     outputs = set()
     for seed in ("1", "4"):
         env = dict(os.environ, PYTHONHASHSEED=seed)

@@ -18,8 +18,6 @@ PUBLIC_NAMES = [
     "Attachment",
     "CospectralReport",
     "DegreeProfile",
-    "Edge",
-    "EdgeKind",
     "EigenBasis",
     "FundamentalCycleBasis",
     "GraphFormatError",
@@ -28,7 +26,6 @@ PUBLIC_NAMES = [
     "MixedGraph",
     "MonographCertificate",
     "MonographKind",
-    "MonographPartition",
     "NotMonographError",
     "NumericalError",
     "Phase",
@@ -37,7 +34,6 @@ PUBLIC_NAMES = [
     "SimpleCycle",
     "StoreDescriptor",
     "StructuralFlags",
-    "Walk",
     "__version__",
     "arc_balance",
     "build_hermitian",
