@@ -70,9 +70,10 @@ class TestPhase:
         # exact rotation differs from it, and is_identity absorbs its rounding
         assert Phase(Fraction(1, 2)) == Phase(0.5)
         assert hash(Phase(Fraction(1, 2))) == hash(Phase(0.5))
-        nearby = Phase(1.0 / 3.0)
-        assert nearby != ALPHA_GAMMA
-        assert nearby.walk_value(3, 3, signed=False).is_identity()
+        nearby = make_alpha(f"angle:{math.tau / 13}")
+        assert nearby != Phase(Fraction(1, 13))
+        full_turn = nearby.walk_value(13, 13, signed=False)
+        assert full_turn.rotation != 0 and full_turn.is_identity()
         assert not Phase(0.3).walk_value(3, 3, signed=False).is_identity()
 
     def test_str(self):
