@@ -219,12 +219,15 @@ def _cmd_monograph(args: argparse.Namespace) -> None:
 def _cmd_partition(args: argparse.Namespace) -> None:
     graph = _read_graph(args.graph)
     alpha = make_alpha(args.alpha)
-    classes = monograph_partition(graph, alpha, _kind(args))
+    # two float potentials may print as the same text: their classes merge
+    classes: dict[str, list[int]] = {}
+    for p, vs in monograph_partition(graph, alpha, _kind(args)).items():
+        classes.setdefault(p.turns, []).extend(vs)
     _emit(
         {
             "alpha": str(alpha),
             "kind": args.kind,
-            "classes": {p.turns: list(vs) for p, vs in classes.items()},
+            "classes": {turns: sorted(vs) for turns, vs in classes.items()},
         }
     )
 

@@ -6,7 +6,7 @@ equal characteristic polynomials are the same fact, and no polynomial is
 computed.  Alongside it run four structural flags, each a monograph verdict:
 
 * even arc parity: a first-kind monograph at alpha = -1;
-* oriented bipartite: no digon, and a second-kind monograph at alpha = 1;
+* oriented bipartite: no digon, and even arc parity, so every cycle is even;
 * tree: no cycle, so a monograph of both kinds under every phase;
 * a monograph of one kind for both phases, which pins both spectra to the
   underlying one or to its negation.
@@ -26,11 +26,11 @@ the search alike: it takes a stack of matrices per phase and the structural
 flags of each graph, runs its checks (whose kernels live in ``spectra``)
 stage by stage, and raises NumericalError for the lowest failing graph of
 the first failing stage.  ``numeric_cospectral`` hands it a stack of one,
-its flags from :func:`is_monograph` under the six rules they read.
+its flags from :func:`is_monograph` under the five rules they read.
 
 The search never builds a graph per code.  It scans codes in fixed chunks of
 ``SEARCH_CHUNK``: digits are decoded into stacks of Hermitian matrices, one
-per phase, and the same six verdicts come from one vectorised union-find
+per phase, and the same five verdicts come from one vectorised union-find
 sweep over the vertex pairs, which closes each fundamental cycle with a
 known arc balance and length parity; the verdict then runs on the whole
 chunk.  Only the hits become :class:`MixedGraph` objects.  Exhaustive search
@@ -51,7 +51,7 @@ import numpy as np
 from .errors import NumericalError, ScaleLimitError
 from .graphs import _DIGIT_STEP, MixedGraph
 from .monographs import MonographKind, _keys, _rule, _verdict, is_monograph
-from .phases import ALPHA_ONE, Phase
+from .phases import Phase
 from .spectra import (
     DEFAULT_TOL,
     _check_matrices,
@@ -121,9 +121,9 @@ def even_arc_condition(graph: MixedGraph) -> bool:
 
 
 def oriented_bipartite(graph: MixedGraph) -> bool:
-    """No digons and the underlying graph is bipartite: a digon-free
-    second-kind monograph at alpha = 1, where every step has value -1."""
-    return not _has_digon(graph) and _verdict(graph, ALPHA_ONE, MonographKind.SECOND)
+    """No digons and the underlying graph is bipartite: with no digon a
+    cycle's length is the number of arcs it crosses, so this is even arc parity."""
+    return not _has_digon(graph) and even_arc_condition(graph)
 
 
 def _has_digon(graph: MixedGraph) -> bool:
@@ -131,10 +131,10 @@ def _has_digon(graph: MixedGraph) -> bool:
 
 
 def _flag_rules(alpha1: Phase, alpha2: Phase) -> list[tuple[Phase, MonographKind]]:
-    """The six monograph rules the flags read, in the order
+    """The five monograph rules the flags read, in the order
     :func:`_structural_flags` takes their verdicts."""
     first, second = MonographKind
-    return [(_MINUS_ONE, first), (ALPHA_ONE, second)] + [
+    return [(_MINUS_ONE, first)] + [
         (a, kind) for a in (alpha1, alpha2) for kind in (first, second)
     ]
 
@@ -145,8 +145,8 @@ def _structural_flags(
     """The fields of :class:`StructuralFlags`, in order, as boolean arrays
     over graphs: from each graph's verdicts under the :func:`_flag_rules`,
     whether it has a cycle and whether it has a digon."""
-    even_arc, all_even, first1, second1, first2, second2 = verdicts
-    return even_arc, ~digon & all_even, ~cyclic, (first1 & first2) | (second1 & second2)
+    even_arc, first1, second1, first2, second2 = verdicts
+    return even_arc, ~digon & even_arc, ~cyclic, (first1 & first2) | (second1 & second2)
 
 
 def numeric_cospectral(
@@ -321,8 +321,8 @@ def _stream_hits(
 
 class _ChunkScan:
     """The search's scan of codes on ``n`` vertices under one pair of phases:
-    the matrix stacks and flags of a chunk, run through the same verdict as
-    :func:`numeric_cospectral`."""
+    the matrix stacks and the five flag verdicts of a chunk, run through the
+    same verdict as :func:`numeric_cospectral`."""
 
     def __init__(self, n: int, alpha1: Phase, alpha2: Phase, tol: float) -> None:
         self.n = n

@@ -25,6 +25,7 @@ functions of their arguments.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,6 +60,13 @@ def _ends(row: _Row) -> tuple[int, int]:
     return (hi, lo) if digit == 3 else (lo, hi)
 
 
+def _vertex_id(u: object) -> int:
+    """``u`` as a plain int: numpy integers pass; floats, strings and bools raise."""
+    if not isinstance(u, bool) and hasattr(type(u), "__index__"):
+        return operator.index(u)
+    raise ValueError(f"vertex id {u!r} is not an integer")
+
+
 @dataclass(frozen=True, init=False)
 class MixedGraph:
     """A loop-free mixed graph on vertices ``0..n-1``, one edge per pair at most.
@@ -88,11 +96,13 @@ class MixedGraph:
         """A graph with digons on the given pairs and arcs from the first
         vertex of each pair to the second.
 
-        An edge given twice counts once.  The rows are checked in table
-        order, so an error names the lowest offending row.
+        An edge given twice counts once.  Ids must be integers; the rows are
+        then checked in table order, so an error names the lowest offending row.
         """
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        digons = [(_vertex_id(u), _vertex_id(v)) for u, v in digons]
+        arcs = [(_vertex_id(u), _vertex_id(v)) for u, v in arcs]
         rows = {(u, v, 1) if u < v else (v, u, 1) for u, v in digons}
         rows.update((u, v, 2) if u < v else (v, u, 3) for u, v in arcs)
         table: list[_Row] = []

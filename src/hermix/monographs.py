@@ -44,7 +44,6 @@ import numpy as np
 
 from .errors import NotMonographError, NumericalError
 from .graphs import (
-    _DIGIT_STEP,
     MixedGraph,
     _ends,
     connected_components,
@@ -239,6 +238,8 @@ def monograph_partition(
     multiplies the potential by alpha tail to head.  For the second kind the
     signed potential flips under a digon and an arc multiplies it by minus
     alpha; the classes then read off as plus or minus a power of alpha.
+    Both follow from the verdict alone: a tree edge steps so by construction,
+    and a non-tree edge closes a fundamental cycle the verdict found trivial.
     """
     potential, keys = _require(
         graph, alpha, kind, f"graph is not a monograph of kind {kind.value}: "
@@ -251,34 +252,7 @@ def monograph_partition(
     classes: dict[Phase, list[int]] = {}
     for members in groups.values():
         classes.setdefault(potential[members[0]], []).extend(members)
-    _check_partition_edges(graph, alpha, kind)
     return {p: tuple(sorted(members)) for p, members in classes.items()}
-
-
-def _check_partition_edges(graph: MixedGraph, alpha: Phase, kind: MonographKind) -> None:
-    """Every edge must move the potential exactly one step: digons keep it
-    (first kind) or negate it (second kind); an arc multiplies by alpha, and
-    by minus alpha for the second kind.  In the rule's integers: the closed
-    walk down the tree to lo, across the edge and back up from hi has balance
-    b_lo + s - b_hi (s the pair code of the step from lo to hi) and the
-    length parity of d_lo + 1 - d_hi, and must be trivial (a walk and its
-    reverse are trivial together).  An error names the first failing edge in
-    table order."""
-    basis = graph.cycle_basis
-    balances, depths = basis.balances, basis.depths
-    rows = graph._table
-    keys = _keys(
-        _rule(alpha, kind),
-        [balances[lo] + _DIGIT_STEP[digit] - balances[hi] for lo, hi, digit in rows],
-        [depths[lo] + 1 - depths[hi] for lo, hi, _ in rows],
-    )
-    for row, key in zip(rows, keys):
-        if key:
-            u, v = _ends(row)
-            raise NumericalError(
-                f"partition edge rule failed on {_graph_source(graph, alpha)}: "
-                f"violated at edge ({u}, {v})"
-            )
 
 
 def transfer_eigenvectors(

@@ -173,6 +173,16 @@ class TestPartition:
             data = run_json(capsys, ["partition", "--alpha", angle, "--kind", "1", str(path)])
             assert data["classes"] == classes
 
+    def test_classes_printed_alike_merge(self, capsys, tmp_path):
+        # a third of a turn: the tree balances 1 and 4 give the float
+        # potentials 0.3333333333333333 and 0.33333333333333326, two classes
+        # of the library that print as one key
+        path = tmp_path / "path5.mg"
+        path.write_text("5\n0 -> 1\n1 -> 2\n2 -> 3\n3 -> 4\n")
+        alpha = "angle:2.0943951023931953"
+        data = run_json(capsys, ["partition", "--alpha", alpha, "--kind", "1", str(path)])
+        assert data["classes"] == {"0": [0, 3], "0.333333333333": [1, 4], "0.666666666667": [2]}
+
     def test_not_monograph_is_input_error(self, capsys, dc3_file):
         code = main(["partition", "--alpha", "i", "--kind", "1", dc3_file])
         assert code == 2

@@ -34,6 +34,7 @@ from hermix import (
     mixed_graph_from_code,
     monograph_partition,
     negated_spectrum_check,
+    numeric_cospectral,
     oriented_bipartite,
     radius_equality_analysis,
     transfer_eigenvectors,
@@ -41,6 +42,7 @@ from hermix import (
     walk_value_g,
     walk_value_h,
 )
+import hermix.cospectral
 import hermix.graphs
 
 from conftest import (
@@ -272,6 +274,32 @@ class TestPartition:
                     members = sorted(v for vs in part.values() for v in vs)
                     assert members == list(range(g.n))
         assert covered > 30
+
+    def test_every_edge_steps_the_potential(self):
+        # the classes' potentials against each edge's walk value, taken
+        # from the walk itself and not from the cycle basis
+        rng = random.Random(211)
+        alphas = [ALPHA_I, ALPHA_GAMMA, ALPHA_OMEGA]
+        alphas += [make_alpha("root:2/5"), make_alpha("angle:1.0")]
+        checked = cyclic = 0
+        for _ in range(300):
+            g = random_connected_mixed_graph(rng, rng.randrange(2, 9), rng.choice([0.1, 0.3]))
+            for alpha in alphas:
+                for kind, value in ((FIRST, walk_value_h), (SECOND, walk_value_g)):
+                    if not is_monograph(g, alpha, kind).verdict:
+                        continue
+                    checked += 1
+                    cyclic += bool(g.cycle_basis.cycle_balances)
+                    part = monograph_partition(g, alpha, kind)
+                    potential = {v: p for p, vs in part.items() for v in vs}
+                    for u, v, _ in edge_triples(g):
+                        for a, b in ((u, v), (v, u)):
+                            step = potential[a].rotation + value(g, alpha, (a, b)).rotation
+                            if alpha.is_exact:
+                                assert potential[b] == Phase(step), (g, alpha, kind, a, b)
+                            else:
+                                assert Phase(potential[b].rotation - step).is_identity()
+        assert checked > 300 and cyclic > 100
 
     def test_angle_alpha_partition(self, p3):
         angle = make_alpha("angle:1.0")
@@ -704,6 +732,13 @@ class TestGaugeCost:
         ):
             phases, _, walks = self.counted(monkeypatch, run)
             assert (phases, walks) == (0, 0)
+
+    def test_cospectral_flags_ask_five_certificates(self, monkeypatch):
+        # even arc parity, then both kinds under each phase: oriented
+        # bipartite reads even arc parity's verdict again
+        calls = count_calls(monkeypatch, hermix.cospectral, "is_monograph")
+        numeric_cospectral(three_class_clique(6), ALPHA_GAMMA, ALPHA_OMEGA)
+        assert len(calls) == 5
 
     def test_failing_verdict_builds_one_walk(self, monkeypatch):
         # the cycle basis is built inside the count, and builds no walk itself
