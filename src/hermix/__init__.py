@@ -43,7 +43,6 @@ from .phases import (
 )
 from .spectra import (
     EigenBasis,
-    HermitianMatrix,
     build_hermitian,
     char_poly,
     eigen_decomposition,
@@ -110,7 +109,6 @@ __all__ = [
     "walk_value_g",
     "walk_value_h",
     "EigenBasis",
-    "HermitianMatrix",
     "build_hermitian",
     "char_poly",
     "eigen_decomposition",

@@ -52,7 +52,6 @@ from .phases import Phase, make_alpha
 from .spectra import (
     DEFAULT_TOL,
     EigenBasis,
-    build_hermitian,
     char_poly,
     eigen_decomposition,
 )
@@ -164,12 +163,11 @@ def _edges_json(graph: MixedGraph) -> list[list[Any]]:
 
 
 def _spectra_payload(graph: MixedGraph, alpha: Phase, oracle: bool) -> dict[str, Any]:
-    matrix = build_hermitian(graph, alpha)
-    values = eigen_decomposition(matrix).values
+    values = eigen_decomposition(graph, alpha).values
     if oracle:
         poly = char_poly_expansion(graph, alpha)
     else:
-        poly = char_poly(matrix, values)
+        poly = char_poly(graph, alpha, values)
     return {
         "alpha": str(alpha),
         "eigenvalues": values.tolist(),

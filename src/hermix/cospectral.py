@@ -30,11 +30,12 @@ its flags from :func:`is_monograph` under the five rules they read.
 
 The search never builds a graph per code.  It scans codes in fixed chunks of
 ``SEARCH_CHUNK``: digits are decoded into stacks of Hermitian matrices, one
-per phase, and the same five verdicts come from one vectorised union-find
-sweep over the vertex pairs, which closes each fundamental cycle with a
-known arc balance and length parity; the verdict then runs on the whole
-chunk.  Only the hits become :class:`MixedGraph` objects.  Exhaustive search
-stops at ``MAX_EXHAUSTIVE_VERTICES`` = 5 vertices and random search at
+per phase, by the stack builder behind :func:`build_hermitian`, and the same
+five verdicts come from one vectorised union-find sweep over the vertex
+pairs, which closes each fundamental cycle with a known arc balance and
+length parity; the verdict then runs on the whole chunk.  Only the hits
+become :class:`MixedGraph` objects.  Exhaustive search stops at
+``MAX_EXHAUSTIVE_VERTICES`` = 5 vertices and random search at
 ``MAX_RANDOM_VERTICES`` = 8, the last n whose 4**pairs codes fit a 64-bit
 index.
 """
@@ -54,10 +55,9 @@ from .monographs import MonographKind, _keys, _rule, _verdict, is_monograph
 from .phases import Phase
 from .spectra import (
     DEFAULT_TOL,
-    _check_matrices,
-    _digit_entries,
     _eigh_checked,
     _graph_source,
+    _hermitian_stack,
     _raise_first,
     build_hermitian,
 )
@@ -162,7 +162,7 @@ def numeric_cospectral(
     sufficient condition promises cospectrality but the numbers disagree, a
     NumericalError is raised; a sound implementation never reaches it.
     """
-    stacks = [build_hermitian(graph, a).entries[None] for a in (alpha1, alpha2)]
+    stacks = [build_hermitian(graph, a)[None] for a in (alpha1, alpha2)]
     flags = _structural_flags(
         [np.array([is_monograph(graph, *rule).verdict]) for rule in _flag_rules(alpha1, alpha2)],
         np.array([bool(graph.cycle_basis.cycle_parities)]),
@@ -332,8 +332,6 @@ class _ChunkScan:
         self.low = np.array([u for u, _ in self.pairs], dtype=np.intp)
         self.high = np.array([v for _, v in self.pairs], dtype=np.intp)
         self.place = 4 ** np.arange(len(self.pairs), dtype=np.int64)
-        # matrix entries by digit, above and below the diagonal, as build_hermitian sets them
-        self.entries = [_digit_entries(a) for a in self.alphas]
         # a closing edge plus two tree paths: balance at most 2n - 1 in size
         self.span = 2 * n
         # per flag rule, closing balance and length parity: is the cycle trivial?
@@ -357,13 +355,7 @@ class _ChunkScan:
         def source(i: int, _: tuple[Phase, ...]) -> str:
             return f"code {int(codes[i])} (n={n}, alphas {a1} and {a2})"
 
-        stacks = []
-        for above, below in self.entries:
-            a = np.zeros((len(codes), n, n), dtype=np.complex128)
-            a[:, self.low, self.high] = above[digits]
-            a[:, self.high, self.low] = below[digits]
-            _check_matrices(a, NumericalError, lambda i: source(i, self.alphas))
-            stacks.append(a)
+        stacks = [_hermitian_stack(n, self.low, self.high, digits, a) for a in self.alphas]
         flags = self._flags(digits)
         max_gap = _checked_gaps(stacks, flags, self.alphas, self.tol, source)
         return [

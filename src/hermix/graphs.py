@@ -60,11 +60,12 @@ def _ends(row: _Row) -> tuple[int, int]:
     return (hi, lo) if digit == 3 else (lo, hi)
 
 
-def _vertex_id(u: object) -> int:
-    """``u`` as a plain int: numpy integers pass; floats, strings and bools raise."""
+def _vertex_id(u: object, what: str = "vertex id") -> int:
+    """``u`` as a plain int: numpy integers pass; floats, strings and bools
+    raise an error that names ``u`` as ``what``."""
     if not isinstance(u, bool) and hasattr(type(u), "__index__"):
         return operator.index(u)
-    raise ValueError(f"vertex id {u!r} is not an integer")
+    raise ValueError(f"{what} {u!r} is not an integer")
 
 
 @dataclass(frozen=True, init=False)
@@ -96,9 +97,11 @@ class MixedGraph:
         """A graph with digons on the given pairs and arcs from the first
         vertex of each pair to the second.
 
-        An edge given twice counts once.  Ids must be integers; the rows are
-        then checked in table order, so an error names the lowest offending row.
+        An edge given twice counts once.  The vertex count and the ids must
+        be integers; the rows are then checked in table order, so an error
+        names the lowest offending row.
         """
+        n = _vertex_id(n, "vertex count")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         digons = [(_vertex_id(u), _vertex_id(v)) for u, v in digons]

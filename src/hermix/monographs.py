@@ -46,6 +46,7 @@ from .errors import NotMonographError, NumericalError
 from .graphs import (
     MixedGraph,
     _ends,
+    _vertex_id,
     connected_components,
     degree_profile,
 )
@@ -56,7 +57,6 @@ from .spectra import (
     EigenBasis,
     _graph_source,
     _raise_first,
-    build_hermitian,
     eigen_decomposition,
     spectral_radius,
     verify_eigenpair,
@@ -277,7 +277,7 @@ def transfer_eigenvectors(
     )
     budget = EIGEN_RESIDUAL_TOL * max(graph.n, 1)
     if basis is None:
-        basis = eigen_decomposition(build_hermitian(graph, ALPHA_ONE))
+        basis = eigen_decomposition(graph, ALPHA_ONE)
     else:
         given = verify_eigenpair(graph, ALPHA_ONE, basis.values, basis.vectors)
         _raise_first(
@@ -310,8 +310,8 @@ def negated_spectrum_check(
     """
     requirement = "negated spectrum check requires a second-kind monograph; "
     _require(graph, alpha, MonographKind.SECOND, requirement)
-    values = eigen_decomposition(build_hermitian(graph, alpha)).values
-    under = eigen_decomposition(build_hermitian(graph, ALPHA_ONE)).values
+    values = eigen_decomposition(graph, alpha).values
+    under = eigen_decomposition(graph, ALPHA_ONE).values
     # both descending: the negated underlying spectrum, descending, is -under[::-1]
     return bool((np.abs(values + under[::-1]) <= tol).all())
 
@@ -330,7 +330,7 @@ class Attachment:
     direction: AttachDirection
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", frozenset(self.targets))
+        object.__setattr__(self, "targets", frozenset(map(_vertex_id, self.targets)))
         if not self.targets:
             raise ValueError("attachment needs at least one target vertex")
 
@@ -349,7 +349,7 @@ def extend_monograph(
     way.  The result is checked to be a first-kind monograph again before it
     is returned.
     """
-    base = sorted(set(base_vertices))
+    base = sorted({_vertex_id(v) for v in base_vertices})
     if not base:
         raise ValueError("base vertex set must be nonempty")
     for v in base:

@@ -1,8 +1,12 @@
 """Numeric spectra of the phase-weighted Hermitian adjacency matrix.
 
 The matrix of a mixed graph puts 1 on digons, the chosen unit phase alpha on
-an arc read tail to head, and its conjugate the other way.  It is Hermitian
-by construction, so the spectrum is real whatever alpha is.
+an arc read tail to head, and its conjugate the other way.  One stack
+builder sets the entries of every matrix, one graph's or a whole search
+chunk's, so each is Hermitian, zero-diagonal and unit-modulus by
+construction and the spectrum is real whatever alpha is.  A matrix is a
+plain complex array; the spectral functions take the graph and alpha and
+build it themselves, so their errors name the graph.
 
 Every eigenvalue computation goes through LAPACK's complex Hermitian solver
 (``np.linalg.eigh`` / ``np.linalg.eigvalsh``) on the n x n matrix itself.
@@ -15,14 +19,13 @@ eigenvectors, each column normalised once.  A characteristic polynomial is
 a tuple of floats.
 
 Tolerances used across the package are centralized here, and so is every
-consistency check on a matrix, its eigenpairs and its polynomial.  Each
-check builds a mask over a stack of matrices and raises, through one
-helper, for the lowest index the mask marks.  The matrix and eigenpair
-checks are written once, over a stack: the single-matrix functions run them
-on a stack of one, and the cospectral verdict on one graph or on a whole
-chunk of a search.  The characteristic polynomial is taken one matrix at a
-time, by :func:`char_poly` only; the cospectral verdict compares spectra and
-computes no polynomial.
+consistency check on eigenpairs and polynomials.  Each check builds a mask
+over a stack of matrices and raises, through one helper, for the lowest
+index the mask marks.  The eigenpair check is written once, over a stack:
+:func:`eigen_decomposition` runs it on a stack of one, and the cospectral
+verdict on one graph or on a whole chunk of a search.  The characteristic
+polynomial is taken one matrix at a time, by :func:`char_poly` only; the
+cospectral verdict compares spectra and computes no polynomial.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .graphs import MixedGraph
 from .phases import Phase
 
 __all__ = [
-    "HermitianMatrix",
     "EigenBasis",
     "build_hermitian",
     "eigen_decomposition",
@@ -58,27 +60,6 @@ COEFF_TOL = 1e-8
 DEFAULT_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianMatrix:
-    """A dense Hermitian matrix with zero diagonal and unit-modulus entries.
-
-    ``source`` names the matrix in error messages; :func:`build_hermitian`
-    names the graph and the alpha it came from.
-    """
-
-    n: int
-    entries: np.ndarray
-    source: str = "the matrix"
-
-    def __post_init__(self) -> None:
-        a = np.array(self.entries, dtype=np.complex128)
-        if a.shape != (self.n, self.n):
-            raise ValueError(f"expected a {self.n}x{self.n} matrix, got shape {a.shape}")
-        _check_matrices(a[None], ValueError, lambda _: self.source)
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-
-
 def _raise_first(
     failed: np.ndarray, error: type[Exception], message: Callable[[int], str]
 ) -> None:
@@ -96,37 +77,6 @@ def _graph_source(graph: MixedGraph, *alphas: Phase) -> str:
     return (
         f"the graph (n={graph.n}, {len(graph._table)} edges, "
         f"alpha{'s' if len(alphas) > 1 else ''} {phases})"
-    )
-
-
-_MATRIX_FAULTS = (
-    "matrix is not exactly Hermitian",
-    "diagonal must be zero",
-    "nonzero entries must have modulus 1",
-)
-
-
-def _check_matrices(
-    a: np.ndarray, error: type[Exception], source: Callable[[int], str]
-) -> None:
-    """Exactly Hermitian, zero diagonal, nonzero entries of modulus 1.  The
-    lowest failing matrix of the stack ``a`` raises ``error``, named by
-    ``source`` and by the first of these checks it fails."""
-    modulus = np.abs(a)
-    failed = np.stack(
-        [
-            ~(a == a.conj().swapaxes(-1, -2)).all(axis=(-2, -1)),
-            a.diagonal(axis1=-2, axis2=-1).any(axis=-1),
-            # an entry is the cosine and sine of one rotation, a few eps off
-            # modulus 1; anything further from it is no unit phase
-            ((modulus != 0) & (np.abs(modulus - 1.0) > 1e-12)).any(axis=(-2, -1)),
-        ]
-    )
-    _raise_first(
-        failed.any(axis=0),
-        error,
-        lambda i: f"matrix check failed on {source(i)}: "
-        f"{_MATRIX_FAULTS[failed[:, i].argmax()]}",
     )
 
 
@@ -192,53 +142,64 @@ class EigenBasis:
         object.__setattr__(self, "vectors", unit)
 
 
-def _digit_entries(alpha: Phase) -> np.ndarray:
-    """The matrix entries an edge digit sets (none, digon, arc up, arc down):
-    row 0 at (lo, hi), row 1 at (hi, lo)."""
+def _hermitian_stack(
+    n: int, lo: np.ndarray, hi: np.ndarray, digits: np.ndarray, alpha: Phase
+) -> np.ndarray:
+    """The Hermitian adjacency matrices of a stack of graphs on ``n`` vertices
+    under ``alpha``: matrix k carries the edge digit ``digits[k, p]`` (none,
+    digon, arc up, arc down) on the pair ``lo[p] < hi[p]``.  The only code
+    that sets matrix entries, so every matrix is Hermitian, zero-diagonal and
+    unit-modulus by construction and none is checked for it."""
     val = alpha.value
     conj = val.conjugate()
-    return np.array([[0, 1, val, conj], [0, 1, conj, val]], dtype=np.complex128)
+    a = np.zeros((len(digits), n, n), dtype=np.complex128)
+    a[:, lo, hi] = np.array([0, 1, val, conj], dtype=np.complex128)[digits]
+    a[:, hi, lo] = np.array([0, 1, conj, val], dtype=np.complex128)[digits]
+    return a
 
 
-def build_hermitian(graph: MixedGraph, alpha: Phase) -> HermitianMatrix:
-    """The phase-weighted Hermitian adjacency matrix of the graph, set from
-    its edge table in one assignment."""
-    a = np.zeros((graph.n, graph.n), dtype=np.complex128)
+def build_hermitian(graph: MixedGraph, alpha: Phase) -> np.ndarray:
+    """The phase-weighted Hermitian adjacency matrix of the graph, an n x n
+    complex array set from its edge table: a stack of one."""
     lo, hi, digit = np.array(graph._table, dtype=np.intp).reshape(-1, 3).T
-    a[[lo, hi], [hi, lo]] = _digit_entries(alpha)[:, digit]
-    return HermitianMatrix(graph.n, a, _graph_source(graph, alpha))
+    return _hermitian_stack(graph.n, lo, hi, digit[None], alpha)[0]
 
 
-def eigen_decomposition(matrix: HermitianMatrix) -> EigenBasis:
-    """An orthonormal eigenbasis, eigenvalues descending.
+def eigen_decomposition(graph: MixedGraph, alpha: Phase) -> EigenBasis:
+    """An orthonormal eigenbasis of the graph's matrix under ``alpha``,
+    eigenvalues descending.
 
     One complex Hermitian ``eigh`` gives it; each eigenvalue is reported
     with its own column, so a degenerate eigenspace comes back as an
     orthonormal basis of that space.  Residuals above
-    ``EIGEN_RESIDUAL_TOL * n`` raise NumericalError rather than returning
-    a silently bad basis.
+    ``EIGEN_RESIDUAL_TOL * n`` raise NumericalError, naming the graph and
+    ``alpha``, rather than returning a silently bad basis.
     """
-    evals, evecs, check = _eigh_checked(matrix.entries[None])
-    check(lambda _: matrix.source)
+    evals, evecs, check = _eigh_checked(build_hermitian(graph, alpha)[None])
+    check(lambda _: _graph_source(graph, alpha))
     return EigenBasis(evals[0, ::-1], evecs[0, :, ::-1])
 
 
-def char_poly(matrix: HermitianMatrix, values: Sequence[float]) -> tuple[float, ...]:
+def char_poly(
+    graph: MixedGraph, alpha: Phase, values: Sequence[float]
+) -> tuple[float, ...]:
     """Coefficients c1..cn of the monic characteristic polynomial
-    x^n + c1 x^(n-1) + ... + cn, by trace recursion.
+    x^n + c1 x^(n-1) + ... + cn of the graph's matrix under ``alpha``, by
+    trace recursion.
 
     Runs the Faddeev-LeVerrier recursion in complex arithmetic, demands the
     imaginary residue of every coefficient stay under ``COEFF_TOL``, and
     cross-checks against the polynomial expanded from ``values``, the
     matrix's eigenvalues as :func:`eigen_decomposition` returns them, so the
-    matrix is solved only once.  Any disagreement raises NumericalError.
+    matrix is solved only once.  Any disagreement raises NumericalError,
+    naming the graph and ``alpha``.
     """
-    n = matrix.n
+    n = graph.n
     if len(values) != n:
         raise ValueError(f"spectrum has {len(values)} values for an {n}x{n} matrix")
     if n == 0:
         return ()
-    a = matrix.entries
+    a = build_hermitian(graph, alpha)
     coeffs = np.empty(n, dtype=np.complex128)
     c = -a.trace()
     coeffs[0] = c
@@ -254,8 +215,8 @@ def char_poly(matrix: HermitianMatrix, values: Sequence[float]) -> tuple[float, 
     worst_imag = np.abs(coeffs.imag).max()
     if worst_imag > COEFF_TOL:
         raise NumericalError(
-            f"char-poly residue failed on {matrix.source}: characteristic polynomial "
-            f"imaginary residue {worst_imag:.3e} exceeds {COEFF_TOL:.3e}"
+            f"char-poly residue failed on {_graph_source(graph, alpha)}: characteristic "
+            f"polynomial imaginary residue {worst_imag:.3e} exceeds {COEFF_TOL:.3e}"
         )
     from_roots = np.zeros(n + 1)
     from_roots[0] = 1.0
@@ -264,8 +225,8 @@ def char_poly(matrix: HermitianMatrix, values: Sequence[float]) -> tuple[float, 
     gap = np.abs(coeffs.real - from_roots[1:]).max()
     if gap > COEFF_TOL:
         raise NumericalError(
-            f"cross-check failed on {matrix.source}: trace recursion and eigenvalue "
-            f"product disagree by {gap:.3e}"
+            f"cross-check failed on {_graph_source(graph, alpha)}: trace recursion and "
+            f"eigenvalue product disagree by {gap:.3e}"
         )
     return tuple(coeffs.real.tolist())
 
@@ -274,7 +235,7 @@ def spectral_radius(graph: MixedGraph, alpha: Phase) -> float:
     """Largest absolute eigenvalue; 0.0 for the empty graph."""
     if graph.n == 0:
         return 0.0
-    evals = np.linalg.eigvalsh(build_hermitian(graph, alpha).entries)
+    evals = np.linalg.eigvalsh(build_hermitian(graph, alpha))
     return float(np.max(np.abs(evals)))
 
 

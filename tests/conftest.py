@@ -14,7 +14,6 @@ from hermix import (
     MixedGraph,
     Phase,
     arc_balance,
-    build_hermitian,
     char_poly,
     eigen_decomposition,
     enumerate_simple_cycles,
@@ -69,8 +68,7 @@ def k4x() -> MixedGraph:
 def numeric_char_poly(g: MixedGraph, alpha: Phase) -> tuple[float, ...]:
     """The trace-recursion polynomial, cross-checked against the matrix's own
     eigenvalues."""
-    matrix = build_hermitian(g, alpha)
-    return char_poly(matrix, eigen_decomposition(matrix).values)
+    return char_poly(g, alpha, eigen_decomposition(g, alpha).values)
 
 
 def edge_triples(graph: MixedGraph) -> list[tuple[int, int, str]]:

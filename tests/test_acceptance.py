@@ -27,7 +27,6 @@ from hermix import (
     Attachment,
     MixedGraph,
     MonographKind,
-    build_hermitian,
     char_poly_expansion,
     connected_components,
     degree_profile,
@@ -118,8 +117,8 @@ def connected_n5() -> list[MixedGraph]:
 
 
 def _spectrum_gap(g: MixedGraph, a1, a2) -> float:
-    s1 = eigen_decomposition(build_hermitian(g, a1)).values
-    s2 = eigen_decomposition(build_hermitian(g, a2)).values
+    s1 = eigen_decomposition(g, a1).values
+    s2 = eigen_decomposition(g, a2).values
     return max((abs(x - y) for x, y in zip(s1, s2)), default=0.0)
 
 
@@ -180,7 +179,7 @@ def test_4_first_kind_transfer(capsys, monograph_hits):
         worst_resid = worst_gap = 0.0
         hits = monograph_hits[MonographKind.FIRST]
         for g, a in hits:
-            basis = eigen_decomposition(build_hermitian(g, ALPHA_ONE))
+            basis = eigen_decomposition(g, ALPHA_ONE)
             moved, _ = transfer_eigenvectors(g, a, basis)
             resid = verify_eigenpair(g, a, moved.values, moved.vectors)
             worst_resid = max(worst_resid, resid.max(initial=0.0))
@@ -198,7 +197,7 @@ def test_5_second_kind_negation(capsys, monograph_hits):
         hits = monograph_hits[MonographKind.SECOND]
         failures = sum(1 for g, a in hits if not negated_spectrum_check(g, a, tol=1e-8))
         k4x = parse_graph((FIXTURES / "k4x.mg").read_text())
-        spec = eigen_decomposition(build_hermitian(k4x, ALPHA_I)).values
+        spec = eigen_decomposition(k4x, ALPHA_I).values
         fixture_gap = max(abs(x - y) for x, y in zip(spec, (1.0, 1.0, 1.0, -3.0)))
         c["detail"] = (
             f"{len(hits)} second-kind hits, {failures} negation failures, "
@@ -314,7 +313,7 @@ def test_9_pinned_fixtures(capsys):
         ]
         worst = 0.0
         for g, a, want_spec, want_poly in expectations:
-            spec = eigen_decomposition(build_hermitian(g, a)).values
+            spec = eigen_decomposition(g, a).values
             worst = max(worst, max(abs(x - y) for x, y in zip(spec, want_spec)))
             for poly in (numeric_char_poly(g, a), char_poly_expansion(g, a)):
                 worst = max(

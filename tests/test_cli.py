@@ -23,7 +23,6 @@ from hermix import (
     ALPHA_ONE,
     EigenBasis,
     MixedGraph,
-    build_hermitian,
     eigen_decomposition,
     make_alpha,
     serialize_graph,
@@ -194,7 +193,7 @@ class TestTransfer:
         data = run_json(capsys, ["transfer", "--alpha", "gamma", dc3_file])
         assert data["max_residual"] <= 1e-8
         # the reported residual is the worst one over the printed pairs
-        basis = eigen_decomposition(build_hermitian(dc3, ALPHA_ONE))
+        basis = eigen_decomposition(dc3, ALPHA_ONE)
         moved, _ = transfer_eigenvectors(dc3, ALPHA_GAMMA, basis)
         worst = verify_eigenpair(dc3, ALPHA_GAMMA, moved.values, moved.vectors).max()
         assert data["max_residual"] == float(f"{worst:.12g}")
@@ -224,7 +223,7 @@ class TestTransfer:
         run_json(capsys, ["transfer", "--alpha", "gamma", "--basis", str(basis_path), dc3_file])
         assert alphas == ["root:0/1", "root:1/3"]
         alphas.clear()
-        basis = eigen_decomposition(build_hermitian(dc3, ALPHA_ONE))
+        basis = eigen_decomposition(dc3, ALPHA_ONE)
         given, _ = transfer_eigenvectors(dc3, ALPHA_GAMMA, basis)
         assert alphas == ["root:0/1", "root:1/3"]
         alphas.clear()
@@ -303,7 +302,7 @@ class TestTransfer:
         ``shift`` added to the first eigenvalue, as files; and the largest
         residual of that basis against the underlying graph."""
         g = MixedGraph.from_edges(60, [], [(v, v + 1) for v in range(59)])
-        basis = eigen_decomposition(build_hermitian(g, ALPHA_ONE))
+        basis = eigen_decomposition(g, ALPHA_ONE)
         values = basis.values.copy()
         values[0] += shift
         pairs = [
@@ -741,7 +740,7 @@ class TestCospectral:
         data = run_json(
             capsys, ["cospectral", "--alpha", alphas[0], "--alpha", alphas[1], str(path)]
         )
-        spectra = [eigen_decomposition(build_hermitian(g, make_alpha(a))).values for a in alphas]
+        spectra = [eigen_decomposition(g, make_alpha(a)).values for a in alphas]
         gap = max(abs(x - y) for x, y in zip(*spectra))
         assert data["max_gap"] == float(f"{gap:.12g}")
         assert data["cospectral"] is False
@@ -894,25 +893,32 @@ class TestErrorPaths:
             (["spectrum", "--alpha", "gamma"], "alpha root:1/3"),
             (["charpoly", "--alpha", "angle:0.7"], "alpha angle:0.7"),
             (["cospectral", "--alpha", "i", "--alpha", "gamma"], "alpha root:1/4"),
+            # the basis moved by transfer is solved under alpha = 1
+            (["transfer", "--alpha", "gamma"], "alpha root:0/1"),
         ],
     )
     def test_numerical_error_names_the_graph(
         self, capsys, monkeypatch, dc3_file, argv, alpha
     ):
         # a negative budget fails the check of every matrix at its stage: the
-        # polynomial's residue, or for the spectra-only verdict the eigen residual
-        budget, stage = {
-            "spectrum": ("COEFF_TOL", "char-poly residue"),
-            "charpoly": ("COEFF_TOL", "char-poly residue"),
-            "cospectral": ("EIGEN_RESIDUAL_TOL", "eigen residual"),
+        # polynomial's residue, or the eigen residual that comes before it
+        poly = ("COEFF_TOL", "char-poly residue")
+        eigen = ("EIGEN_RESIDUAL_TOL", "eigen residual")
+        stages = {
+            "spectrum": [poly, eigen],
+            "charpoly": [poly],
+            "cospectral": [eigen],
+            "transfer": [eigen],
         }[argv[0]]
-        monkeypatch.setattr(f"hermix.spectra.{budget}", -1.0)
-        assert main(argv + [dc3_file]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(
-            f"error: {stage} failed on the graph (n=3, 3 edges, {alpha}): "
-        )
+        for budget, stage in stages:
+            with monkeypatch.context() as patch:
+                patch.setattr(f"hermix.spectra.{budget}", -1.0)
+                assert main(argv + [dc3_file]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(
+                f"error: {stage} failed on the graph (n=3, 3 edges, {alpha}): "
+            )
 
 
 def test_closed_stdout_ends_quietly():

@@ -6,6 +6,7 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from hermix import (
@@ -225,6 +226,34 @@ class TestEnumeration:
 
 
 class TestSearch:
+    def test_chunk_stacks_are_the_built_matrices(self, monkeypatch):
+        # one builder sets every entry: each matrix is exactly Hermitian with
+        # a zero diagonal and unit entries, and a chunk's stacks are the
+        # stacked build_hermitian matrices of its codes, bit for bit
+        alphas = [ALPHA_ONE, ALPHA_I, ALPHA_GAMMA, ALPHA_OMEGA, make_alpha("root:2/5"),
+                  make_alpha("angle:0.7"), make_alpha("angle:2.1")]
+        seen = []
+        verdict = cospectral._checked_gaps
+
+        def recording(stacks, *args):
+            seen.append(stacks)
+            return verdict(stacks, *args)
+
+        monkeypatch.setattr(cospectral, "_checked_gaps", recording)
+        for n in range(5):
+            codes = np.arange(4 ** (n * (n - 1) // 2), dtype=np.int64)
+            graphs = [mixed_graph_from_code(n, int(code)) for code in codes]
+            for pair in zip(alphas[::2], alphas[1::2] + alphas[:1]):
+                seen.clear()
+                cospectral._ChunkScan(n, *pair, DEFAULT_TOL)(codes)
+                for alpha, stack in zip(pair, seen[0]):
+                    built = np.array([build_hermitian(g, alpha) for g in graphs])
+                    assert (built == built.conj().swapaxes(1, 2)).all()
+                    assert not built.diagonal(axis1=1, axis2=2).any()
+                    modulus = np.abs(built[built != 0])
+                    assert (np.abs(modulus - 1.0) <= 1e-12).all()
+                    assert stack.tobytes() == built.tobytes()
+
     def test_exhaustive_n3_hits_are_cospectral(self):
         hits = list(search_cospectral(3, ALPHA_GAMMA, ALPHA_OMEGA))
         assert hits
@@ -345,7 +374,7 @@ def test_numeric_cospectral_against_public_functions(pair):
             weights = (rng.choice((1, 4, 12)), 1, 1, 1)
             digits = rng.choices(range(4), weights=weights, k=n * (n - 1) // 2)
             g = mixed_graph_from_code(n, sum(d * 4**p for p, d in enumerate(digits)))
-            spectra = [eigen_decomposition(build_hermitian(g, a)).values for a in (a1, a2)]
+            spectra = [eigen_decomposition(g, a).values for a in (a1, a2)]
             gap = max((abs(x - y) for x, y in zip(*spectra)), default=0.0)
             report = numeric_cospectral(g, a1, a2)
             assert report.max_gap == gap, (n, g)

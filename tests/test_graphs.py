@@ -76,6 +76,19 @@ class TestEdge:
             with pytest.raises(ValueError, match=f"^vertex id {re.escape(bad)} is not an integer$"):
                 MixedGraph.from_edges(3, digons, arcs)
 
+    def test_vertex_count_must_be_an_integer(self):
+        # a float count would serialize as a header the parser rejects; the
+        # count is checked before any row
+        for bad in (3.0, True, np.float64(3.0), "3"):
+            with pytest.raises(
+                ValueError, match=f"^vertex count {re.escape(repr(bad))} is not an integer$"
+            ):
+                MixedGraph.from_edges(bad, arcs=[(0, 1), (2, 2)])
+        g = MixedGraph.from_edges(np.int64(3), arcs=[(0, 1)])
+        assert type(g.n) is int
+        assert g == MixedGraph.from_edges(3, arcs=[(0, 1)])
+        assert parse_graph(serialize_graph(g)) == g
+
     def test_numpy_integer_ids_build_the_int_graph(self):
         g = MixedGraph.from_edges(
             4, [(np.int64(3), np.int32(1))], [(np.int64(0), np.uint8(2)), (np.intp(2), 3)]

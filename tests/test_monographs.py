@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 from typing import Iterator
 
@@ -326,7 +327,7 @@ class TestTransfer:
         assert worst <= 1e-12
 
     def test_full_basis_transfer(self, dc3):
-        basis = eigen_decomposition(build_hermitian(dc3, ALPHA_ONE))
+        basis = eigen_decomposition(dc3, ALPHA_ONE)
         moved, worst = transfer_eigenvectors(dc3, ALPHA_GAMMA, basis)
         resid = verify_eigenpair(dc3, ALPHA_GAMMA, moved.values, moved.vectors)
         assert worst == resid.max()
@@ -347,10 +348,9 @@ class TestTransfer:
             g = level_monograph(rng, n, q)
             cert = is_monograph(g, alpha, FIRST)
             assert cert.potential is not None and len(set(cert.potential)) >= 5
-            matrix = build_hermitian(g, ALPHA_ONE)
-            basis = eigen_decomposition(matrix)
+            basis = eigen_decomposition(g, ALPHA_ONE)
             moved, _ = transfer_eigenvectors(g, alpha, basis)
-            evals, evecs = np.linalg.eigh(matrix.entries)
+            evals, evecs = np.linalg.eigh(build_hermitian(g, ALPHA_ONE))
             assert moved.values.tobytes() == evals[::-1].tobytes()
             gauge = np.array([p.value.conjugate() for p in cert.potential])
             for j in range(n):
@@ -361,7 +361,7 @@ class TestTransfer:
                 assert moved.vectors[:, j].tobytes() == (w / np.linalg.norm(w)).tobytes()
 
     def test_requires_first_kind(self, dc3):
-        basis = eigen_decomposition(build_hermitian(dc3, ALPHA_ONE))
+        basis = eigen_decomposition(dc3, ALPHA_ONE)
         with pytest.raises(NotMonographError):
             transfer_eigenvectors(dc3, ALPHA_I, basis)
 
@@ -371,7 +371,7 @@ class TestTransfer:
             transfer_eigenvectors(uc3, ALPHA_ONE, fake)
 
     def test_names_the_first_failing_pair(self, uc3):
-        basis = eigen_decomposition(build_hermitian(uc3, ALPHA_ONE))
+        basis = eigen_decomposition(uc3, ALPHA_ONE)
         e0 = np.array([1.0, 0.0, 0.0], dtype=complex)
         first = reference_pair_residual(uc3, ALPHA_ONE, 3.0, e0)
         message = f"eigenvalue 3 fails verification against the underlying graph (residual {first:.3e})"
@@ -400,7 +400,7 @@ class TestNegatedSpectrum:
         assert is_monograph(k4x, ALPHA_I, SECOND).verdict
         assert not is_monograph(k4x, ALPHA_I, FIRST).verdict
         assert negated_spectrum_check(k4x, ALPHA_I)
-        spec = eigen_decomposition(build_hermitian(k4x, ALPHA_I)).values
+        spec = eigen_decomposition(k4x, ALPHA_I).values
         assert np.allclose(spec, [1.0, 1.0, 1.0, -3.0], atol=1e-8)
 
     def test_undirected_four_cycle_any_alpha(self):
@@ -486,6 +486,29 @@ class TestExtend:
             )
         with pytest.raises(ValueError):
             Attachment(frozenset(), AttachDirection.OUT)
+
+    def test_ids_must_be_integers(self, uc3):
+        # a bool target would enter the table as True, a float one fail deep
+        # inside the graph instead of at the call
+        att = [Attachment(frozenset({0}), AttachDirection.OUT)]
+        for bad in (True, 0.0, 1.0):
+            message = f"^vertex id {re.escape(repr(bad))} is not an integer$"
+            with pytest.raises(ValueError, match=message):
+                Attachment(frozenset({bad}), AttachDirection.IN)
+            with pytest.raises(ValueError, match=message):
+                extend_monograph(uc3, ALPHA_I, [0, bad], att)
+
+    def test_numpy_integer_ids_give_int_rows(self, uc3):
+        grown = extend_monograph(
+            uc3,
+            ALPHA_I,
+            [np.int64(0), np.int32(1)],
+            [Attachment(frozenset({np.int64(0), np.intp(1)}), AttachDirection.IN)],
+        )
+        assert grown == extend_monograph(
+            uc3, ALPHA_I, [0, 1], [Attachment(frozenset({0, 1}), AttachDirection.IN)]
+        )
+        assert all(type(w) is int for v in range(grown.n) for w in grown.neighbors(v))
 
     def test_rejects_empty_or_invalid_base(self, uc3):
         with pytest.raises(ValueError, match="nonempty"):

@@ -150,7 +150,7 @@ def four_phase_walk_value(alpha: Phase, balance: int, edges: int, signed: bool) 
 def entry_product(g: MixedGraph, alpha: Phase, walk: tuple[int, ...], signed: bool) -> complex:
     """The product of the Hermitian matrix's entries along the walk, times
     (-1) per step when ``signed``."""
-    entries = build_hermitian(g, alpha).entries
+    entries = build_hermitian(g, alpha)
     product = complex(1.0)
     for a, b in zip(walk, walk[1:]):
         product *= -entries[a, b] if signed else entries[a, b]

@@ -21,7 +21,6 @@ PUBLIC_NAMES = [
     "EigenBasis",
     "FundamentalCycleBasis",
     "GraphFormatError",
-    "HermitianMatrix",
     "InvalidWalkError",
     "MixedGraph",
     "MonographCertificate",
